@@ -23,13 +23,9 @@ from .errors import (
 from .fock_algebra import (
     HilbertSpace,
     annihilation_op,
-    basis_state,
-    creation_op,
     dagger,
     expectation,
     fock_annihilation,
-    identity,
-    number_op,
     qd_lowering_op,
     qd_sigma_minus,
     tensor,

@@ -15,6 +15,7 @@ ladder E^2 path and the direct two-photon U path.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import warnings
@@ -159,6 +160,9 @@ def amplitudes_closed_form(params: ModelParams) -> AmplitudeSet:
     if s == 0:
         raise SingularSystemError("vanishing combined denominator deltaA' + delta'")
     c1e = -(_SQRT2 * g * c2g + E * c0e) / s
+    # the sum is non-finite when any amplitude is, or when they are too large to add
+    if not cmath.isfinite(c0e + c1g + c1e + c2g):
+        raise SingularSystemError("weak-drive amplitudes overflow float64")
     amps = AmplitudeSet(1.0 + 0.0j, c0e, c1g, c1e, c2g)
     _warn_if_hierarchy_broken(amps)
     return amps
@@ -170,12 +174,21 @@ def g2_weak_drive(params: ModelParams) -> float:
     one = abs(amps.c1g)
     if one == 0.0:
         raise UndefinedCorrelationError("one-photon amplitude vanishes (is E = 0?)")
-    return 2.0 * abs(amps.c2g) ** 2 / one**4
+    try:
+        return 2.0 * abs(amps.c2g) ** 2 / one**4
+    except ZeroDivisionError:
+        raise UndefinedCorrelationError("|c1g|^4 underflows float64 (is E tiny?)") from None
+    except OverflowError:
+        raise SingularSystemError("weak-drive g2(0) overflows float64") from None
 
 
 def mean_photon_weak_drive(params: ModelParams) -> float:
     """Mean photon number |c1g|^2 of the expansion; independent of U by construction."""
-    return abs(amplitudes_closed_form(params).c1g) ** 2
+    c1g = amplitudes_closed_form(params).c1g
+    try:
+        return abs(c1g) ** 2
+    except OverflowError:
+        raise SingularSystemError("weak-drive mean photon number overflows float64") from None
 
 
 def g2_cpb_min(params: ModelParams) -> float:

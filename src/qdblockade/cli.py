@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,8 @@ __all__ = ["main"]
 
 AXIS_FIELDS = ("delta", "delta_a", "g", "E", "U")
 _NONNEG_FIELDS = ("g", "E", "U")
-_ENGINES = ("numeric", "analytic")
+# engine -> what it runs, in column order
+_ENGINES = {"numeric": "steady-state solve", "analytic": "weak-drive evaluation"}
 _MAX_CUTOFF = 40
 
 _CONFIG_KEYS: dict[str, type] = {
@@ -47,18 +48,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class AxisSpec:
-    name: str
-    start: float
-    stop: float
-    steps: int
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)
-
-
-def _parse_axis(text: str) -> AxisSpec:
+def _parse_axis(text: str) -> tuple[str, float, float, int]:
     parts = text.split(":")
     if len(parts) != 4:
         raise _UsageError(f"bad axis spec {text!r}: expected name:start:stop:steps")
@@ -72,11 +62,13 @@ def _parse_axis(text: str) -> AxisSpec:
         raise _UsageError(f"bad axis spec {text!r}: start/stop must be numbers, steps an int")
     if steps < 2:
         raise _UsageError(f"axis {name!r} needs at least 2 steps, got {steps}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise _UsageError(f"axis {name!r} needs finite start and stop, got {start} .. {stop}")
     if not start < stop:
         raise _UsageError(f"axis {name!r} needs start < stop, got {start} .. {stop}")
     if name in _NONNEG_FIELDS and start < 0:
         raise _UsageError(f"axis over {name!r} must stay nonnegative")
-    return AxisSpec(name, start, stop, steps)
+    return name, start, stop, steps
 
 
 def _parse_engines(text: str) -> tuple[str, ...]:
@@ -139,17 +131,13 @@ def _write_gnuplot(args, header: list[str], two_d: bool) -> int:
         return 0
     if args.out is None:
         raise _UsageError("--gnuplot requires --out so the script has data to point at")
-    ncol = len(header)
-    lines = [
-        f"# gnuplot stub for {args.out}",
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-    ]
+    lines = [f"# gnuplot stub for {args.out}", "set datafile separator ','",
+             "set key autotitle columnhead"]
     if two_d:
         lines += ["set view map", f"splot '{args.out}' using 1:2:3 with points palette"]
     else:
         lines += ["set logscale y", f"plot '{args.out}' using 1:2 with lines"]
-    lines.append(f"# columns: {','.join(header)} ({ncol} total)")
+    lines.append(f"# columns: {','.join(header)} ({len(header)} total)")
     return _emit(lines, args.gnuplot)
 
 
@@ -161,192 +149,98 @@ def _params_from_args(args) -> ModelParams:
         raise _UsageError(str(exc))
 
 
-def _solve_numeric(params: ModelParams, args) -> SteadyStateResult:
-    if args.converge_tol is None:
-        return solve_steady_state(params, HilbertSpace(args.cutoff))
-    return converged_solve(params, initial_cutoff=args.cutoff, rel_tol=args.converge_tol)
+def _numeric(args):
+    """Numeric engine: one solve at --cutoff, or the rising-cutoff ladder."""
+    def evaluate(params: ModelParams) -> tuple:
+        if args.converge_tol is None:
+            res = solve_steady_state(params, HilbertSpace(args.cutoff))
+        else:
+            res = converged_solve(params, initial_cutoff=args.cutoff,
+                                  rel_tol=args.converge_tol)
+        return res.g2_zero, res.n_a, res.cutoff_used, res.residual
+    return evaluate
 
 
-def _analytic_cells(params: ModelParams) -> tuple[float, float]:
-    n_a = mean_photon_weak_drive(params)
-    try:
-        g2 = g2_weak_drive(params)
-    except UndefinedCorrelationError:
-        g2 = math.nan
-    return g2, n_a
-
-
-def _header(engines: tuple[str, ...], axis_names: list[str]) -> list[str]:
-    cols = list(axis_names)
-    if "numeric" in engines:
-        cols.append("g2_numeric")
-    if "analytic" in engines:
-        cols.append("g2_analytic")
-    if "numeric" in engines:
-        cols.append("n_a_numeric")
-    if "analytic" in engines:
-        cols.append("n_a_analytic")
-    cols += ["cutoff_used", "residual", "status"]
-    return cols
-
-
-def _row_cells(params: ModelParams, engines: tuple[str, ...], args) -> list:
-    """One RecordRow; solver failures become nan cells plus a status flag."""
-    status = "ok"
-    g2_num = n_num = math.nan
-    cutoff_used: int | str = args.cutoff
-    residual = math.nan
-    if "numeric" in engines:
-        try:
-            res = _solve_numeric(params, args)
-            g2_num, n_num = res.g2_zero, res.n_a
-            cutoff_used, residual = res.cutoff_used, res.residual
-        except CutoffConvergenceError:
-            status = "no_converge"
-        except BlockadeError:
-            status = "singular"
-    g2_an = n_an = math.nan
-    if "analytic" in engines:
-        try:
-            # a full-axis sweep crosses the expansion's breakdown region on
-            # purpose; the per-point hierarchy warning is only noise here
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                g2_an, n_an = _analytic_cells(params)
-        except BlockadeError:
-            if "numeric" not in engines:
-                status = "singular"
-    cells = []
-    if "numeric" in engines:
-        cells.append(g2_num)
-    if "analytic" in engines:
-        cells.append(g2_an)
-    if "numeric" in engines:
-        cells.append(n_num)
-    if "analytic" in engines:
-        cells.append(n_an)
-    cells += [cutoff_used, residual, status]
-    return cells
-
-
-def cmd_point(args) -> int:
-    params = _params_from_args(args)
-    engines = _parse_engines(args.engines)
-    header = _header(engines, [])
-    status = "ok"
-    g2_num = n_num = math.nan
-    cutoff_used: int | str = args.cutoff
-    residual = math.nan
-    if "numeric" in engines:
-        try:
-            res = _solve_numeric(params, args)
-        except BlockadeError as exc:
-            print(f"error: steady-state solve failed: {exc}", file=sys.stderr)
-            return 3
-        g2_num, n_num = res.g2_zero, res.n_a
-        cutoff_used, residual = res.cutoff_used, res.residual
-    g2_an = n_an = math.nan
-    if "analytic" in engines:
-        try:
-            g2_an, n_an = _analytic_cells(params)
-        except BlockadeError as exc:
-            print(f"error: weak-drive evaluation failed: {exc}", file=sys.stderr)
-            return 3
-    cells = []
-    if "numeric" in engines:
-        cells.append(g2_num)
-    if "analytic" in engines:
-        cells.append(g2_an)
-    if "numeric" in engines:
-        cells.append(n_num)
-    if "analytic" in engines:
-        cells.append(n_an)
-    cells += [cutoff_used, residual, status]
-    return _emit([",".join(header), ",".join(_fmt(c) for c in cells)], args.out)
-
-
-def cmd_sweep(args) -> int:
-    base = _params_from_args(args)
-    engines = _parse_engines(args.engines)
-    axis = _parse_axis(args.axis)
-    header = _header(engines, [axis.name])
-    lines = [",".join(header)]
-    for x in axis.values():
-        params = dataclasses.replace(base, **{axis.name: float(x)})
-        cells = [float(x)] + _row_cells(params, engines, args)
-        lines.append(",".join(_fmt(c) for c in cells))
-    code = _write_gnuplot(args, header, two_d=False)
-    if code:
-        return code
-    return _emit(lines, args.out)
-
-
-def cmd_sweep2d(args) -> int:
-    base = _params_from_args(args)
-    engines = _parse_engines(args.engines)
-    axis1 = _parse_axis(args.axis)
-    axis2 = _parse_axis(args.axis2)
-    if axis1.name == axis2.name:
-        raise _UsageError(f"axis and axis2 must differ, both are {axis1.name!r}")
-    header = _header(engines, [axis1.name, axis2.name])
-    lines = [",".join(header)]
-    # axis2-major: the second axis is the slow (outer) index
-    for y in axis2.values():
-        for x in axis1.values():
-            params = dataclasses.replace(base, **{axis1.name: float(x),
-                                                  axis2.name: float(y)})
-            cells = [float(x), float(y)] + _row_cells(params, engines, args)
-            lines.append(",".join(_fmt(c) for c in cells))
-    code = _write_gnuplot(args, header, two_d=True)
-    if code:
-        return code
-    return _emit(lines, args.out)
-
-
-def cmd_compare(args) -> int:
-    base = _params_from_args(args)
-    axis = _parse_axis(args.axis)
-    variants = [("composite", lambda p: p), ("jc", jc_limit), ("bimode", bimode_limit)]
-    header = ([axis.name]
-              + [f"g2_{name}" for name, _ in variants]
-              + [f"n_a_{name}" for name, _ in variants]
-              + ["status"])
-    lines = [",".join(header)]
-    for x in axis.values():
-        at_x = dataclasses.replace(base, **{axis.name: float(x)})
-        status = "ok"
-        g2s, nas = [], []
-        for _, limit in variants:
+def _analytic(args):
+    """Weak-drive engine; it has no cutoff or residual of its own."""
+    def evaluate(params: ModelParams) -> tuple:
+        # a full-axis sweep crosses the expansion's breakdown region on
+        # purpose; the per-point hierarchy warning is only noise here
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            n_a = mean_photon_weak_drive(params)
             try:
-                res = _solve_numeric(limit(at_x), args)
-                g2s.append(res.g2_zero)
-                nas.append(res.n_a)
-            except CutoffConvergenceError:
-                g2s.append(math.nan)
-                nas.append(math.nan)
-                status = "no_converge" if status == "ok" else status
-            except BlockadeError:
-                g2s.append(math.nan)
-                nas.append(math.nan)
-                status = "singular" if status == "ok" else status
-        cells = [float(x)] + g2s + nas + [status]
-        lines.append(",".join(_fmt(c) for c in cells))
-    code = _write_gnuplot(args, header, two_d=False)
+                g2 = g2_weak_drive(params)
+            except UndefinedCorrelationError:
+                g2 = math.nan
+        return g2, n_a, args.cutoff, math.nan
+    return evaluate
+
+
+def cmd_grid(args) -> int:
+    """point, sweep, sweep2d, compare: one record per grid point, one CSV row each.
+
+    Every column evaluates to (g2, n_a, cutoff_used, residual).  A failing
+    column leaves nan cells, and the first failing column in output order
+    sets the status; ``point`` (no axes) exits 3 on it instead.
+    """
+    base = _params_from_args(args)
+    numeric = _numeric(args)
+    if args.command == "compare":
+        columns = [("composite", numeric),
+                   ("jc", lambda p: numeric(jc_limit(p))),
+                   ("bimode", lambda p: numeric(bimode_limit(p)))]
+        info = []
+    else:
+        engines = {"numeric": numeric, "analytic": _analytic(args)}
+        columns = [(e, engines[e]) for e in _parse_engines(args.engines)]
+        info = ["cutoff_used", "residual"]
+    axes = [_parse_axis(getattr(args, flag))
+            for flag in _SUBCOMMANDS[args.command][2] if flag.startswith("axis")]
+    names = [axis[0] for axis in axes]
+    if len(set(names)) < len(names):
+        raise _UsageError(f"axis and axis2 must differ, both are {names[0]!r}")
+    labels = [label for label, _ in columns]
+    header = (names + [f"g2_{x}" for x in labels] + [f"n_a_{x}" for x in labels]
+              + info + ["status"])
+    code = _write_gnuplot(args, header, two_d=len(axes) == 2) if axes else 0
     if code:
         return code
+    lines = [",".join(header)]
+    grids = [np.linspace(start, stop, steps).tolist() for _, start, stop, steps in axes]
+    fixed = {k: v for k, v in vars(base).items() if k not in names}
+    # the last axis is the slow (outer) index
+    for point in itertools.product(*reversed(grids)):
+        coords = list(reversed(point))
+        params = ModelParams(**fixed, **dict(zip(names, coords)))
+        outs, failed = [], []
+        for label, evaluate in columns:
+            try:
+                outs.append(evaluate(params))
+            except BlockadeError as exc:
+                outs.append((math.nan, math.nan, args.cutoff, math.nan))
+                failed.append((label, exc))
+        if failed and not axes:
+            print(f"error: {_ENGINES[failed[0][0]]} failed: {failed[0][1]}", file=sys.stderr)
+            return 3
+        status = ("ok" if not failed else "no_converge"
+                  if isinstance(failed[0][1], CutoffConvergenceError) else "singular")
+        cells = coords + [o[0] for o in outs] + [o[1] for o in outs]
+        if info:
+            cells += outs[0][2:]  # from the first engine
+        lines.append(",".join(_fmt(c) for c in cells + [status]))
     return _emit(lines, args.out)
 
 
 def cmd_optimum(args) -> int:
     params = _params_from_args(args)
-    axis = _parse_axis(args.axis)
-    if axis.name not in ("delta", "delta_a"):
+    name, start, stop, steps = _parse_axis(args.axis)
+    if name not in ("delta", "delta_a"):
         raise _UsageError("optimum searches a detuning: axis must be delta or delta_a")
-    grid_step = (axis.stop - axis.start) / (axis.steps - 1)
-    roots = ucpb_roots(params, axis.name, (axis.start, axis.stop), grid_step=grid_step)
+    roots = ucpb_roots(params, name, (start, stop), grid_step=(stop - start) / (steps - 1))
     lines = ["kind,variable,value,c2g_residual,g2_weak_drive"]
     if not roots:
-        lines.append(f"# no blockade roots found in [{_fmt(axis.start)}, {_fmt(axis.stop)}]")
+        lines.append(f"# no blockade roots found in [{_fmt(start)}, {_fmt(stop)}]")
     for root in roots:
         at_root = dataclasses.replace(params, **{root.variable: root.value})
         try:
@@ -373,78 +267,53 @@ def cmd_convergence(args) -> int:
         lines.append(",".join(_fmt(c) for c in
                               [res.cutoff_used, res.g2_zero, res.n_a, res.residual]))
     code = _emit(lines, args.out)
-    if code:
+    if code or failed is None:
         return code
-    if failed is not None:
-        print(f"error: {failed}", file=sys.stderr)
-        return 3
-    return 0
+    print(f"error: {failed}", file=sys.stderr)
+    return 3
+
+
+# subcommand -> (help, handler, its own flags); the axis flags give a grid's axes
+_SUBCOMMANDS = {
+    "point": ("evaluate one parameter point", cmd_grid, ("engines",)),
+    "sweep": ("1-D parameter sweep to CSV", cmd_grid, ("axis", "engines", "gnuplot")),
+    "sweep2d": ("2-D parameter sweep to CSV", cmd_grid, ("axis", "axis2", "engines", "gnuplot")),
+    "compare": ("composite model beside its U=0 and g=0 limits", cmd_grid, ("axis", "gnuplot")),
+    "optimum": ("locate CPB/UCPB roots along a detuning axis", cmd_optimum, ("axis",)),
+    "convergence": ("report observables while raising the Fock cutoff", cmd_convergence, ()),
+}
+_SHARED = ("delta", "delta-a", "g", "E", "U", "kappa", "gamma", "cutoff", "converge-tol",
+           "config", "out")
+_FLAGS = {
+    "delta": dict(type=float, default=0.0, help="dot-drive detuning (units of gamma)"),
+    "delta-a": dict(type=float, default=0.0, help="cavity-drive detuning"),
+    "g": dict(type=float, default=0.0, help="dot-cavity coupling"),
+    "E": dict(type=float, default=0.0, help="one-photon drive amplitude"),
+    "U": dict(type=float, default=0.0, help="two-photon drive amplitude"),
+    "kappa": dict(type=float, default=1.0, help="cavity decay rate"),
+    "gamma": dict(type=float, default=1.0, help="dot decay rate (the unit of every rate)"),
+    "cutoff": dict(type=int, default=10, help="Fock cutoff (the first one with --converge-tol)"),
+    "converge-tol": dict(type=float, help="raise the cutoff until g2, n_a settle to this"),
+    "config": dict(default=None, help="key=value file supplying flag defaults"),
+    "out": dict(default=None, help="output path (default: stdout)"),
+    "axis": dict(required=True, help="name:start:stop:steps (sweep2d: the fast axis; "
+                                     "optimum: a detuning, steps sets the scan grid)"),
+    "axis2": dict(required=True, help="slow axis, name:start:stop:steps"),
+    "engines": dict(default="numeric,analytic", help="result columns: numeric, analytic"),
+    "gnuplot": dict(default=None, help="also write a gnuplot stub here"),
+}
 
 
 def _build_parser() -> tuple[_Parser, dict]:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--delta", type=float, default=0.0,
-                        help="dot-drive detuning (units of gamma)")
-    shared.add_argument("--delta-a", dest="delta_a", type=float, default=0.0,
-                        help="cavity-drive detuning")
-    shared.add_argument("--g", type=float, default=0.0, help="dot-cavity coupling")
-    shared.add_argument("--E", type=float, default=0.0, help="one-photon drive amplitude")
-    shared.add_argument("--U", type=float, default=0.0, help="two-photon drive amplitude")
-    shared.add_argument("--kappa", type=float, default=1.0, help="cavity decay rate")
-    shared.add_argument("--gamma", type=float, default=1.0,
-                        help="dot decay rate (the unit; rescale for absolute rates)")
-    shared.add_argument("--cutoff", type=int, default=10,
-                        help="Fock cutoff (initial cutoff when --converge-tol is set)")
-    shared.add_argument("--converge-tol", dest="converge_tol", type=float, default=None,
-                        help="switch to cutoff auto-convergence at this relative tolerance")
-    shared.add_argument("--config", default=None,
-                        help="key=value file supplying flag defaults")
-    shared.add_argument("--out", default=None, help="output path (default: stdout)")
-
     parser = _Parser(prog="qdblockade",
                      description="Photon-blockade steady-state sweeps and blockade conditions")
     sub = parser.add_subparsers(dest="command", required=True)
     subs = {}
-
-    p = sub.add_parser("point", parents=[shared], help="evaluate one parameter point")
-    p.add_argument("--engines", default="numeric,analytic")
-    p.set_defaults(func=cmd_point)
-    subs["point"] = p
-
-    p = sub.add_parser("sweep", parents=[shared], help="1-D parameter sweep to CSV")
-    p.add_argument("--axis", required=True, help="name:start:stop:steps")
-    p.add_argument("--engines", default="numeric,analytic")
-    p.add_argument("--gnuplot", default=None, help="also write a gnuplot stub here")
-    p.set_defaults(func=cmd_sweep)
-    subs["sweep"] = p
-
-    p = sub.add_parser("sweep2d", parents=[shared], help="2-D parameter sweep to CSV")
-    p.add_argument("--axis", required=True, help="fast axis, name:start:stop:steps")
-    p.add_argument("--axis2", required=True, help="slow axis, name:start:stop:steps")
-    p.add_argument("--engines", default="numeric,analytic")
-    p.add_argument("--gnuplot", default=None, help="also write a gnuplot stub here")
-    p.set_defaults(func=cmd_sweep2d)
-    subs["sweep2d"] = p
-
-    p = sub.add_parser("compare", parents=[shared],
-                       help="sweep the composite model against its U=0 and g=0 limits")
-    p.add_argument("--axis", required=True, help="name:start:stop:steps")
-    p.add_argument("--gnuplot", default=None, help="also write a gnuplot stub here")
-    p.set_defaults(func=cmd_compare)
-    subs["compare"] = p
-
-    p = sub.add_parser("optimum", parents=[shared],
-                       help="locate CPB/UCPB roots along a detuning axis")
-    p.add_argument("--axis", required=True,
-                   help="detuning axis, name:start:stop:steps (steps sets the scan grid)")
-    p.set_defaults(func=cmd_optimum)
-    subs["optimum"] = p
-
-    p = sub.add_parser("convergence", parents=[shared],
-                       help="report observables while raising the Fock cutoff")
-    p.set_defaults(func=cmd_convergence)
-    subs["convergence"] = p
-
+    for name, (help_text, func, flags) in _SUBCOMMANDS.items():
+        subs[name] = sub.add_parser(name, help=help_text)
+        for flag in _SHARED + flags:
+            subs[name].add_argument(f"--{flag}", **_FLAGS[flag])
+        subs[name].set_defaults(func=func)
     return parser, subs
 
 
@@ -466,8 +335,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if not 2 <= args.cutoff <= _MAX_CUTOFF:
             raise _UsageError(f"cutoff must be in [2, {_MAX_CUTOFF}], got {args.cutoff}")
-        if args.converge_tol is not None and args.converge_tol <= 0:
-            raise _UsageError("converge tolerance must be positive")
+        if args.converge_tol is not None and not 0 < args.converge_tol < math.inf:
+            raise _UsageError("converge tolerance must be positive and finite")
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

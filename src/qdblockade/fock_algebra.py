@@ -22,13 +22,9 @@ from .errors import DimensionMismatchError
 __all__ = [
     "HilbertSpace",
     "annihilation_op",
-    "basis_state",
-    "creation_op",
     "dagger",
     "expectation",
     "fock_annihilation",
-    "identity",
-    "number_op",
     "qd_lowering_op",
     "qd_sigma_minus",
     "tensor",
@@ -101,10 +97,6 @@ def tensor(qd_part: np.ndarray, fock_part: np.ndarray,
     return out
 
 
-def identity(space: HilbertSpace) -> np.ndarray:
-    return np.eye(space.dim, dtype=complex)
-
-
 def dagger(op: np.ndarray) -> np.ndarray:
     """Hermitian adjoint."""
     return np.asarray(op).conj().T
@@ -115,25 +107,9 @@ def annihilation_op(space: HilbertSpace) -> np.ndarray:
     return tensor(np.eye(2), fock_annihilation(space.photon_cutoff), space)
 
 
-def creation_op(space: HilbertSpace) -> np.ndarray:
-    return dagger(annihilation_op(space))
-
-
-def number_op(space: HilbertSpace) -> np.ndarray:
-    a = annihilation_op(space)
-    return dagger(a) @ a
-
-
 def qd_lowering_op(space: HilbertSpace) -> np.ndarray:
     """Dot lowering on the composite space, sigma_minus (x) I_fock."""
     return tensor(qd_sigma_minus(), np.eye(space.fock_dim), space)
-
-
-def basis_state(space: HilbertSpace, qd: int, n: int) -> np.ndarray:
-    """Unit column vector |qd, n> on the composite space."""
-    v = np.zeros(space.dim, dtype=complex)
-    v[space.index(qd, n)] = 1.0
-    return v
 
 
 def expectation(rho: np.ndarray, op: np.ndarray) -> complex:

@@ -57,6 +57,12 @@ class ModelParams:
     gamma: float = 1.0      # dot decay rate (the unit)
 
     def __post_init__(self) -> None:
+        # one sum is cheaper than seven tests; it is finite when every field is
+        if not math.isfinite(self.delta + self.delta_a + self.g + self.E + self.U
+                             + self.kappa + self.gamma):
+            bad = [k for k, v in vars(self).items() if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"parameters must be finite: {', '.join(bad)}")
         if self.kappa < 0 or self.gamma < 0:
             raise ValueError("decay rates kappa, gamma must be nonnegative")
         if self.g < 0 or self.E < 0 or self.U < 0:

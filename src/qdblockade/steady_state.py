@@ -18,6 +18,7 @@ from .errors import (
     CutoffConvergenceError,
     DegenerateSteadyStateError,
     DimensionMismatchError,
+    SingularSystemError,
     SteadyStateResidualError,
     UndefinedCorrelationError,
 )
@@ -64,9 +65,12 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
     accurate; if the replaced system is singular or the residual bound
     ||L vec(rho)||_inf < 1e-9 fails, an SVD null-space solve is tried before
     giving up.  A null space of dimension > 1 raises
-    DegenerateSteadyStateError.
+    DegenerateSteadyStateError; a generator that overflows float64, or whose
+    SVD does not converge, raises SingularSystemError.
     """
     liou = build_liouvillian(params, space)
+    if not np.all(np.isfinite(liou)):
+        raise SingularSystemError("Liouvillian has non-finite entries (parameters overflow)")
     tvec = trace_vector(space)
     n2 = liou.shape[0]
 
@@ -87,22 +91,25 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
     if x is not None and np.all(np.isfinite(x)):
         residual = float(np.max(np.abs(liou @ x)))
 
-    if residual > RESIDUAL_TOL:
+    # written so that a nan residual (overflow in L @ x) fails the gate
+    if not residual <= RESIDUAL_TOL:
         # fall back to the null space; also the place to detect degeneracy
-        s = np.linalg.svd(liou, compute_uv=False)
+        try:
+            _, s, vh = np.linalg.svd(liou)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"SVD fallback failed: {exc}") from None
         if s[-2] <= 1e-12 * max(s[0], 1.0):
             raise DegenerateSteadyStateError(
                 "Liouvillian null space is multi-dimensional "
                 f"(second singular value {s[-2]:.3e}); no unique steady state"
             )
-        _, _, vh = np.linalg.svd(liou)
         x = vh[-1].conj()
         tr = tvec @ x
         if abs(tr) < 1e-12:
             raise DegenerateSteadyStateError("null vector is traceless; no physical steady state")
         x = x / tr
         residual = float(np.max(np.abs(liou @ x)))
-        if residual > RESIDUAL_TOL:
+        if not residual <= RESIDUAL_TOL:
             raise SteadyStateResidualError(residual, RESIDUAL_TOL)
 
     rho = unvec(x)

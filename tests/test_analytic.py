@@ -94,6 +94,22 @@ def test_linear_solve_flags_singular_system():
         amplitudes_linear_solve(p)
 
 
+def test_extreme_drives_end_in_blockade_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SingularSystemError, match="amplitudes overflow"):
+            amplitudes_closed_form(ModelParams(E=5e307))
+        with pytest.raises(SingularSystemError, match="amplitudes overflow"):
+            mean_photon_weak_drive(ModelParams(E=5e307))
+        # finite amplitudes whose |c1g|^2 or |c1g|^4 overflows, or underflows to zero
+        with pytest.raises(SingularSystemError, match="overflows"):
+            mean_photon_weak_drive(ModelParams(E=7e153))
+        with pytest.raises(SingularSystemError, match="overflows"):
+            g2_weak_drive(ModelParams(E=1e80))
+        with pytest.raises(UndefinedCorrelationError, match="underflows"):
+            g2_weak_drive(ModelParams(E=5e-90))
+
+
 def test_g2_at_reference_point():
     # deep conventional blockade on the hyperbola delta*delta_a = g^2
     val = g2_weak_drive(REF)

@@ -1,9 +1,13 @@
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qdblockade
+from qdblockade import CutoffConvergenceError, cli
 from qdblockade.cli import main
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{8}e[+-]\d{2,3}$")
@@ -79,11 +83,70 @@ def test_point_solver_failure_exits_3(capsys):
     ["point", "--cutoff", "99"],
     ["point", "--converge-tol", "-1"],
     ["point", "--g", "-3"],
+    ["point", "--delta", "nan"],
+    ["point", "--E", "inf"],
+    ["point", "--kappa", "nan"],
+    ["point", "--converge-tol", "nan"],
+    ["sweep", "--axis", "delta:0:inf:3"],
 ])
-def test_usage_errors_exit_1(capsys, argv):
+def test_usage_errors_exit_1(capsys, monkeypatch, argv):
+    # refused before any solve: a nan tolerance would otherwise climb to cutoff 40
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+    monkeypatch.setattr(cli, "solve_steady_state", no_solve)
+    monkeypatch.setattr(cli, "converged_solve", no_solve)
     code, _, err = run(capsys, argv)
     assert code == 1
-    assert err
+    assert len(err.splitlines()) == 1
+
+
+def test_point_hides_hierarchy_warning(capsys, recwarn):
+    # at E = 5 the weak-drive expansion is far outside its domain
+    code, _, _ = run(capsys, ["point", "--E", "5", "--engines", "analytic"])
+    assert code == 0
+    assert not [w for w in recwarn if "hierarchy" in str(w.message)]
+
+
+@pytest.mark.parametrize("engines", ["numeric", "analytic", "numeric,analytic"])
+@pytest.mark.parametrize("axis, statuses", [
+    ("E:0:1e308:3", ["ok", "singular", "singular"]),
+    ("E:0:1e80:3", ["ok", "singular", "singular"]),
+    ("E:0:1e-89:3", ["ok", "ok", "ok"]),
+])
+def test_extreme_drive_ends_in_a_status(capsys, engines, axis, statuses):
+    code, out, _ = run(capsys, ["sweep", "--axis", axis, "--cutoff", "4",
+                                "--engines", engines])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r["status"] for r in rows] == statuses
+
+
+def test_first_failing_column_sets_status(capsys):
+    # gamma = delta = 0 zeroes delta': the weak-drive system is singular,
+    # the steady state is not
+    code, out, _ = run(capsys, ["sweep", "--axis", "delta_a:-1:1:3", "--gamma", "0",
+                                "--delta", "0", "--g", "20", "--E", "0.1", "--cutoff", "4"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    for row in rows:
+        assert FLOAT_CELL.match(row["g2_numeric"])
+        assert row["g2_analytic"] == "nan"
+        assert row["status"] == "singular"
+
+
+def test_unsettled_ladder_reads_no_converge(capsys, monkeypatch):
+    def never_settles(*args, **kwargs):
+        raise CutoffConvergenceError("observables not settled")
+    monkeypatch.setattr(cli, "converged_solve", never_settles)
+    tol = ["--converge-tol", "1e-6", "--E", "0.1", "--axis", "delta:0:1:2"]
+    for argv in (["sweep", *tol], ["compare", *tol]):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r["status"] for r in rows] == ["no_converge"] * 2
+    code, _, err = run(capsys, ["point", "--converge-tol", "1e-6", "--E", "0.1"])
+    assert code == 3
+    assert "steady-state solve failed" in err
 
 
 def test_unwritable_output_exits_2(capsys):
@@ -246,8 +309,11 @@ def test_convergence_table(capsys):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process imported it from
+    src = str(Path(qdblockade.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qdblockade", "point", "--E", "0.1", "--cutoff", "4"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("g2_numeric,")

@@ -5,18 +5,16 @@ from qdblockade import (
     DimensionMismatchError,
     HilbertSpace,
     annihilation_op,
-    basis_state,
-    creation_op,
     dagger,
     expectation,
     fock_annihilation,
-    identity,
-    number_op,
     qd_lowering_op,
     qd_sigma_minus,
     tensor,
     validate_density_matrix,
 )
+
+from fock_helpers import basis_state, creation_op, identity, number_op
 
 SQRT2 = np.sqrt(2.0)
 

@@ -5,7 +5,6 @@ from qdblockade import (
     HilbertSpace,
     ModelParams,
     PumpParams,
-    basis_state,
     bimode_limit,
     build_hamiltonian,
     build_liouvillian,
@@ -15,6 +14,8 @@ from qdblockade import (
     unvec,
     vec,
 )
+
+from fock_helpers import basis_state
 
 SQRT2 = np.sqrt(2.0)
 
@@ -31,6 +32,10 @@ def test_params_validation():
     for field in ("g", "E", "U"):
         with pytest.raises(ValueError):
             ModelParams(**{field: -0.1})
+    for field in ("delta", "delta_a", "g", "E", "U", "kappa", "gamma"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ModelParams(**{field: bad})
     # zero rates are legal: they realize the purely coherent limits
     ModelParams(kappa=0.0)
     ModelParams(gamma=0.0)

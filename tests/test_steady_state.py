@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from qdblockade import (
+    BlockadeError,
     CutoffConvergenceError,
     DegenerateSteadyStateError,
     DimensionMismatchError,
     HilbertSpace,
     ModelParams,
+    SingularSystemError,
     UndefinedCorrelationError,
-    basis_state,
     converged_solve,
     g2_weak_drive,
     g2_zero_delay,
@@ -20,6 +21,8 @@ from qdblockade import (
     solve_steady_state,
     validate_density_matrix,
 )
+
+from fock_helpers import basis_state
 
 REF = ModelParams(delta=-20.0, delta_a=-20.0, g=20.0, E=0.1, U=0.0005)
 
@@ -93,6 +96,15 @@ def test_degenerate_generator_is_refused():
     p = ModelParams(delta=1.0, delta_a=2.0, g=0.0, kappa=0.0, gamma=0.0)
     with pytest.raises(DegenerateSteadyStateError):
         solve_steady_state(p, HilbertSpace(3))
+
+
+def test_overflowing_drive_is_refused():
+    # E = 1e308 overflows the generator itself; at E = 5e307 L is finite but
+    # L @ x overflows, and that nan residual must not pass the 1e-9 gate
+    with pytest.raises(SingularSystemError, match="non-finite"):
+        solve_steady_state(ModelParams(E=1e308), HilbertSpace(4))
+    with pytest.raises(BlockadeError):
+        solve_steady_state(ModelParams(E=5e307), HilbertSpace(4))
 
 
 def test_solver_invariants_over_random_parameters():
