@@ -171,11 +171,12 @@ def amplitudes_closed_form(params: ModelParams) -> AmplitudeSet:
 def g2_weak_drive(params: ModelParams) -> float:
     """Equal-time second-order correlation 2|c2g|^2 / |c1g|^4 of the expansion."""
     amps = amplitudes_closed_form(params)
-    one = abs(amps.c1g)
+    # Python floats raise on overflow and underflow where NumPy scalars warn
+    one = float(abs(amps.c1g))
     if one == 0.0:
         raise UndefinedCorrelationError("one-photon amplitude vanishes (is E = 0?)")
     try:
-        return 2.0 * abs(amps.c2g) ** 2 / one**4
+        return 2.0 * float(abs(amps.c2g)) ** 2 / one**4
     except ZeroDivisionError:
         raise UndefinedCorrelationError("|c1g|^4 underflows float64 (is E tiny?)") from None
     except OverflowError:
@@ -186,7 +187,7 @@ def mean_photon_weak_drive(params: ModelParams) -> float:
     """Mean photon number |c1g|^2 of the expansion; independent of U by construction."""
     c1g = amplitudes_closed_form(params).c1g
     try:
-        return abs(c1g) ** 2
+        return float(abs(c1g)) ** 2
     except OverflowError:
         raise SingularSystemError("weak-drive mean photon number overflows float64") from None
 

@@ -1,9 +1,9 @@
 """Exact steady state of the master equation and its photon statistics.
 
 Solves L vec(rho) = 0 with the trace pinned to one by replacing a row of the
-dense Liouvillian with the trace functional.  The solved rho is used as-is:
-no Hermitization or eigenvalue clamping, so the validity checks in tests
-measure the solver rather than a cosmetic cleanup.
+sparse Liouvillian with the trace functional and factoring it with SuperLU.
+The solved rho is used as-is: no Hermitization or eigenvalue clamping, so the
+validity checks in tests measure the solver rather than a cosmetic cleanup.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import (
     CutoffConvergenceError,
@@ -23,7 +24,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .fock_algebra import HilbertSpace, annihilation_op, dagger, expectation
-from .model import ModelParams, build_liouvillian, trace_vector, unvec, vec
+from .model import ModelParams, build_liouvillian, trace_vector, unvec
 
 __all__ = [
     "SteadyStateResult",
@@ -58,44 +59,42 @@ def _observables(rho: np.ndarray, space: HilbertSpace) -> tuple[float, float]:
     return pair / (n_a * n_a), n_a
 
 
+# overflow leaves inf or nan, which the finiteness checks and residual gates refuse
+@np.errstate(over="ignore", invalid="ignore")
 def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateResult:
-    """Steady state via trace-row replacement on the dense Liouvillian.
+    """Steady state via trace-row replacement on the sparse Liouvillian.
 
-    One step of iterative refinement keeps the weakly occupied sectors
-    accurate; if the replaced system is singular or the residual bound
-    ||L vec(rho)||_inf < 1e-9 fails, an SVD null-space solve is tried before
-    giving up.  A null space of dimension > 1 raises
-    DegenerateSteadyStateError; a generator that overflows float64, or whose
-    SVD does not converge, raises SingularSystemError.
+    SuperLU (``splu``, COLAMD ordering) factors the replaced system, and one
+    step of iterative refinement keeps the weakly occupied sectors accurate.
+    If it is singular or the bound ||L vec(rho)||_inf < 1e-9 fails, an SVD
+    null-space solve of the densified L is tried before giving up.  A null
+    space of dimension > 1 raises DegenerateSteadyStateError; a generator that
+    overflows float64, or whose SVD does not converge, SingularSystemError.
     """
     liou = build_liouvillian(params, space)
-    if not np.all(np.isfinite(liou)):
+    if not np.all(np.isfinite(liou.data)):
         raise SingularSystemError("Liouvillian has non-finite entries (parameters overflow)")
     tvec = trace_vector(space)
-    n2 = liou.shape[0]
-
-    a = liou.copy()
-    a[0, :] = tvec
-    b = np.zeros(n2, dtype=complex)
+    a = sp.vstack([sp.csr_array(tvec[np.newaxis]), liou[1:]], format="csc")
+    b = np.zeros_like(tvec)
     b[0] = 1.0
 
-    x = None
-    try:
-        lu, piv = sla.lu_factor(a)
-        x = sla.lu_solve((lu, piv), b)
-        x += sla.lu_solve((lu, piv), b - a @ x)
-    except (sla.LinAlgError, ValueError):
-        x = None
-
     residual = math.inf
-    if x is not None and np.all(np.isfinite(x)):
-        residual = float(np.max(np.abs(liou @ x)))
+    try:
+        lu = splu(a)
+    except RuntimeError:  # SuperLU: the replaced system is exactly singular
+        pass
+    else:
+        x = lu.solve(b)
+        x += lu.solve(b - a @ x)
+        if np.all(np.isfinite(x)):
+            residual = float(np.max(np.abs(liou @ x)))
 
     # written so that a nan residual (overflow in L @ x) fails the gate
     if not residual <= RESIDUAL_TOL:
         # fall back to the null space; also the place to detect degeneracy
         try:
-            _, s, vh = np.linalg.svd(liou)
+            _, s, vh = np.linalg.svd(liou.toarray())
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"SVD fallback failed: {exc}") from None
         if s[-2] <= 1e-12 * max(s[0], 1.0):

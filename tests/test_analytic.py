@@ -110,6 +110,22 @@ def test_extreme_drives_end_in_blockade_errors():
             g2_weak_drive(ModelParams(E=5e-90))
 
 
+@pytest.mark.parametrize("scalar", [float, np.float64])
+def test_overflow_contract_holds_for_numpy_scalars(scalar):
+    # NumPy scalars overflow to inf with a warning where Python floats raise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "weak-drive amplitude hierarchy", RuntimeWarning)
+        with pytest.raises(SingularSystemError, match="overflows"):
+            mean_photon_weak_drive(ModelParams(E=scalar(7e153)))
+        with pytest.raises(SingularSystemError, match="overflows"):
+            g2_weak_drive(ModelParams(E=scalar(7e153)))
+        with pytest.raises(SingularSystemError, match="overflows"):
+            g2_weak_drive(ModelParams(E=scalar(1e80)))
+        with pytest.raises(UndefinedCorrelationError, match="underflows"):
+            g2_weak_drive(ModelParams(E=scalar(5e-90)))
+
+
 def test_g2_at_reference_point():
     # deep conventional blockade on the hyperbola delta*delta_a = g^2
     val = g2_weak_drive(REF)

@@ -308,12 +308,44 @@ def test_convergence_table(capsys):
         assert FLOAT_CELL.match(row["g2_numeric"])
 
 
-def test_module_entry_point():
+def child_env():
     # the child finds the package where this process imported it from
     src = str(Path(qdblockade.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qdblockade", "point", "--E", "0.1", "--cutoff", "4"],
-        capture_output=True, text=True, timeout=120, env=env)
+        capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("g2_numeric,")
+
+
+def test_overflowing_sweep_prints_no_warnings():
+    # in a child, so that NumPy warnings would reach its stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdblockade", "sweep", "--axis", "E:0:1e308:3",
+         "--cutoff", "4", "--engines", "numeric"],
+        capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[2:] == ["5.00000000e+307,nan,nan,4,nan,singular",
+                                            "1.00000000e+308,nan,nan,4,nan,singular"]
+
+
+def test_point_at_top_cutoff_stays_small():
+    # at cutoff 40 the generator is 6724 x 6724, 723 MB if it were dense
+    report = ("import resource, sys; from qdblockade.cli import main; code = main(); "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+              "sys.exit(code)")
+    proc = subprocess.run(
+        [sys.executable, "-c", report, "point", *REF_ARGS, "--cutoff", "40",
+         "--engines", "numeric"],
+        capture_output=True, text=True, timeout=300, env=child_env())
+    assert proc.returncode == 0
+    _, rows = parse_csv(proc.stdout)
+    assert rows[0]["cutoff_used"] == "40"
+    assert float(rows[0]["residual"]) < 1e-9
+    maxrss_bytes = int(proc.stderr.split()[-1]) * 1024  # ru_maxrss is in KiB on Linux
+    assert maxrss_bytes < 400e6

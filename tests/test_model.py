@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qdblockade import (
     HilbertSpace,
@@ -15,6 +16,7 @@ from qdblockade import (
     vec,
 )
 
+from dense_oracle import dense_liouvillian
 from fock_helpers import basis_state
 
 SQRT2 = np.sqrt(2.0)
@@ -151,6 +153,22 @@ def test_liouvillian_preserves_trace():
         m = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
         rho = m + m.conj().T
         assert abs(np.trace(unvec(liou @ vec(rho)))) < 1e-10
+
+
+def test_sparse_generator_equals_dense_kron_sum():
+    rng = np.random.default_rng(37)
+    for cutoff in (2, 4, 8, 12):
+        space = HilbertSpace(cutoff)
+        for _ in range(5):
+            p = ModelParams(delta=rng.uniform(-60, 60), delta_a=rng.uniform(-60, 60),
+                            g=rng.uniform(0, 30), E=rng.uniform(0, 0.5),
+                            U=rng.uniform(0, 0.01), kappa=rng.uniform(0.1, 3),
+                            gamma=rng.uniform(0.1, 3))
+            # the limits zero one weight each, which leaves explicit zeros
+            for q in (p, jc_limit(p), bimode_limit(p), ModelParams()):
+                liou = build_liouvillian(q, space)
+                assert sp.issparse(liou) and liou.format == "csc"
+                assert np.max(np.abs(liou.toarray() - dense_liouvillian(q, space))) <= 1e-14
 
 
 def test_dark_state_is_stationary_without_drives():

@@ -19,9 +19,11 @@ from qdblockade import (
     mean_photon,
     mean_photon_weak_drive,
     solve_steady_state,
+    unvec,
     validate_density_matrix,
 )
 
+from dense_oracle import dense_steady_state
 from fock_helpers import basis_state
 
 REF = ModelParams(delta=-20.0, delta_a=-20.0, g=20.0, E=0.1, U=0.0005)
@@ -119,6 +121,20 @@ def test_solver_invariants_over_random_parameters():
         assert res.residual < 1e-9
         assert res.n_a > -1e-14
         assert math.isnan(res.g2_zero) or res.g2_zero > -1e-12
+
+
+@pytest.mark.parametrize("cutoff", [4, 8, 12])
+def test_sparse_solve_matches_dense_oracle(cutoff):
+    space = HilbertSpace(cutoff)
+    rng = np.random.default_rng(1000 + cutoff)
+    for _ in range(10):
+        p = ModelParams(delta=rng.uniform(-60, 60), delta_a=rng.uniform(-60, 60),
+                        g=rng.uniform(0, 20), E=rng.uniform(0, 0.2),
+                        U=rng.uniform(0, 0.001), kappa=rng.uniform(0.5, 2.0))
+        res = solve_steady_state(p, space)
+        rho = unvec(dense_steady_state(p, space))
+        assert res.n_a == pytest.approx(mean_photon(rho, space), rel=1e-10)
+        assert res.g2_zero == pytest.approx(g2_zero_delay(rho, space), rel=1e-10)
 
 
 def test_weak_drive_g2_agreement_on_reference_cuts():
