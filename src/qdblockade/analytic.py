@@ -171,8 +171,7 @@ def amplitudes_closed_form(params: ModelParams) -> AmplitudeSet:
 def g2_weak_drive(params: ModelParams) -> float:
     """Equal-time second-order correlation 2|c2g|^2 / |c1g|^4 of the expansion."""
     amps = amplitudes_closed_form(params)
-    # Python floats raise on overflow and underflow where NumPy scalars warn
-    one = float(abs(amps.c1g))
+    one = float(abs(amps.c1g))  # a float raises on overflow where a NumPy scalar warns
     if one == 0.0:
         raise UndefinedCorrelationError("one-photon amplitude vanishes (is E = 0?)")
     try:

@@ -68,8 +68,8 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
     step of iterative refinement keeps the weakly occupied sectors accurate.
     If it is singular or the bound ||L vec(rho)||_inf < 1e-9 fails, an SVD
     null-space solve of the densified L is tried before giving up.  A null
-    space of dimension > 1 raises DegenerateSteadyStateError; a generator that
-    overflows float64, or whose SVD does not converge, SingularSystemError.
+    space of dimension > 1 raises DegenerateSteadyStateError; an overflowing
+    generator or an SVD that does not converge raises SingularSystemError.
     """
     liou = build_liouvillian(params, space)
     if not np.all(np.isfinite(liou.data)):
