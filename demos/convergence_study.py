@@ -26,8 +26,7 @@ for label, params, cutoffs in (("weak drive (E = 0.1)", weak, (4, 6, 8, 10, 12))
 # the automatic ladder: steps of 4 until g2 and n_a both stop moving
 for label, params in (("weak", weak), ("strong", strong)):
     history = []
-    res = converged_solve(params, initial_cutoff=4, rel_tol=1e-6,
-                          max_cutoff=32, history=history)
+    res = converged_solve(params, initial_cutoff=4, rel_tol=1e-6, history=history)
     steps = " -> ".join(str(r.cutoff_used) for r in history)
     print(f"{label} drive settled at cutoff {res.cutoff_used} (tried {steps}): "
           f"g2 = {res.g2_zero:.6e}, n_a = {res.n_a:.6e}")

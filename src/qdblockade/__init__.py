@@ -23,12 +23,7 @@ from .errors import (
 from .fock_algebra import (
     HilbertSpace,
     annihilation_op,
-    dagger,
-    expectation,
-    fock_annihilation,
     qd_lowering_op,
-    qd_sigma_minus,
-    tensor,
     validate_density_matrix,
 )
 from .model import (

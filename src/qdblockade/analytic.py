@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -74,11 +75,15 @@ class ConditionRoot:
 def _warn_if_hierarchy_broken(amps: AmplitudeSet) -> None:
     # amplitude hierarchy |c2g| <= |c1g| <= 1 is what makes the truncation valid
     if abs(amps.c2g) > abs(amps.c1g) or abs(amps.c1g) > 1.0:
+        # report the first caller outside this module, whichever entry point it used
+        frame, level = sys._getframe(), 1
+        while frame is not None and frame.f_code.co_filename == __file__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             "weak-drive amplitude hierarchy |c2g| <= |c1g| <= 1 violated; "
             "the truncated expansion is outside its domain here",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 

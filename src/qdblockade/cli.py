@@ -20,7 +20,7 @@ from .analytic import g2_weak_drive, mean_photon_weak_drive, ucpb_roots
 from .errors import BlockadeError, CutoffConvergenceError, UndefinedCorrelationError
 from .fock_algebra import HilbertSpace
 from .model import ModelParams, bimode_limit, jc_limit
-from .steady_state import SteadyStateResult, converged_solve, solve_steady_state
+from .steady_state import MAX_CUTOFF, SteadyStateResult, converged_solve, solve_steady_state
 
 __all__ = ["main"]
 
@@ -28,13 +28,6 @@ AXIS_FIELDS = ("delta", "delta_a", "g", "E", "U")
 _NONNEG_FIELDS = ("g", "E", "U")
 # engine -> what it runs, in column order
 _ENGINES = {"numeric": "steady-state solve", "analytic": "weak-drive evaluation"}
-_MAX_CUTOFF = 40
-
-_CONFIG_KEYS: dict[str, type] = {
-    "delta": float, "delta_a": float, "g": float, "E": float, "U": float,
-    "kappa": float, "gamma": float, "cutoff": int, "converge_tol": float,
-    "axis": str, "axis2": str, "engines": str, "out": str,
-}
 
 
 class _UsageError(Exception):
@@ -164,15 +157,11 @@ def _numeric(args):
 def _analytic(args):
     """Weak-drive engine; it has no cutoff or residual of its own."""
     def evaluate(params: ModelParams) -> tuple:
-        # a full-axis sweep crosses the expansion's breakdown region on
-        # purpose; the per-point hierarchy warning is only noise here
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            n_a = mean_photon_weak_drive(params)
-            try:
-                g2 = g2_weak_drive(params)
-            except UndefinedCorrelationError:
-                g2 = math.nan
+        n_a = mean_photon_weak_drive(params)
+        try:
+            g2 = g2_weak_drive(params)
+        except UndefinedCorrelationError:
+            g2 = math.nan
         return g2, n_a, args.cutoff, math.nan
     return evaluate
 
@@ -209,26 +198,30 @@ def cmd_grid(args) -> int:
     lines = [",".join(header)]
     grids = [np.linspace(start, stop, steps).tolist() for _, start, stop, steps in axes]
     fixed = {k: v for k, v in vars(base).items() if k not in names}
-    # the last axis is the slow (outer) index
-    for point in itertools.product(*reversed(grids)):
-        coords = list(reversed(point))
-        params = ModelParams(**fixed, **dict(zip(names, coords)))
-        outs, failed = [], []
-        for label, evaluate in columns:
-            try:
-                outs.append(evaluate(params))
-            except BlockadeError as exc:
-                outs.append((math.nan, math.nan, args.cutoff, math.nan))
-                failed.append((label, exc))
-        if failed and not axes:
-            print(f"error: {_ENGINES[failed[0][0]]} failed: {failed[0][1]}", file=sys.stderr)
-            return 3
-        status = ("ok" if not failed else "no_converge"
-                  if isinstance(failed[0][1], CutoffConvergenceError) else "singular")
-        cells = coords + [o[0] for o in outs] + [o[1] for o in outs]
-        if info:
-            cells += outs[0][2:]  # from the first engine
-        lines.append(",".join(_fmt(c) for c in cells + [status]))
+    # a full-axis sweep crosses the weak-drive expansion's breakdown region on
+    # purpose; its per-point hierarchy warning is only noise here
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "weak-drive amplitude hierarchy", RuntimeWarning)
+        # the last axis is the slow (outer) index
+        for point in itertools.product(*reversed(grids)):
+            coords = list(reversed(point))
+            params = ModelParams(**fixed, **dict(zip(names, coords)))
+            outs, failed = [], []
+            for label, evaluate in columns:
+                try:
+                    outs.append(evaluate(params))
+                except BlockadeError as exc:
+                    outs.append((math.nan, math.nan, args.cutoff, math.nan))
+                    failed.append((label, exc))
+            if failed and not axes:
+                print(f"error: {_ENGINES[failed[0][0]]} failed: {failed[0][1]}", file=sys.stderr)
+                return 3
+            status = ("ok" if not failed else "no_converge"
+                      if isinstance(failed[0][1], CutoffConvergenceError) else "singular")
+            cells = coords + [o[0] for o in outs] + [o[1] for o in outs]
+            if info:
+                cells += outs[0][2:]  # from the first engine
+            lines.append(",".join(_fmt(c) for c in cells + [status]))
     return _emit(lines, args.out)
 
 
@@ -302,6 +295,9 @@ _FLAGS = {
     "engines": dict(default="numeric,analytic", help="result columns: numeric, analytic"),
     "gnuplot": dict(default=None, help="also write a gnuplot stub here"),
 }
+# a config file may set every flag but these, with '-' written as '_'
+_CONFIG_KEYS = {flag.replace("-", "_"): spec.get("type", str)
+                for flag, spec in _FLAGS.items() if flag not in ("config", "gnuplot")}
 
 
 def _build_parser() -> tuple[_Parser, dict]:
@@ -333,8 +329,8 @@ def main(argv: list[str] | None = None) -> int:
             for p in subs.values():
                 p.set_defaults(**defaults)
         args = parser.parse_args(argv)
-        if not 2 <= args.cutoff <= _MAX_CUTOFF:
-            raise _UsageError(f"cutoff must be in [2, {_MAX_CUTOFF}], got {args.cutoff}")
+        if not 2 <= args.cutoff <= MAX_CUTOFF:
+            raise _UsageError(f"cutoff must be in [2, {MAX_CUTOFF}], got {args.cutoff}")
         if args.converge_tol is not None and not 0 < args.converge_tol < math.inf:
             raise _UsageError("converge tolerance must be positive and finite")
         return args.func(args)

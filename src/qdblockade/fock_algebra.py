@@ -1,4 +1,4 @@
-"""Operator algebra on the dot (x) cavity Hilbert space.
+"""The dot (x) cavity Hilbert space and its two ladder operators.
 
 The composite basis ordering is fixed package-wide and QD-major,
 
@@ -17,17 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-
 __all__ = [
     "HilbertSpace",
     "annihilation_op",
-    "dagger",
-    "expectation",
-    "fock_annihilation",
     "qd_lowering_op",
-    "qd_sigma_minus",
-    "tensor",
     "validate_density_matrix",
 ]
 
@@ -41,11 +34,8 @@ class HilbertSpace:
     """
 
     photon_cutoff: int
-    qd_levels: int = 2
 
     def __post_init__(self) -> None:
-        if self.qd_levels != 2:
-            raise ValueError("only a two-level dot is supported")
         if self.photon_cutoff < 2:
             raise ValueError(f"photon_cutoff must be >= 2, got {self.photon_cutoff}")
 
@@ -55,7 +45,7 @@ class HilbertSpace:
 
     @property
     def dim(self) -> int:
-        return self.qd_levels * self.fock_dim
+        return 2 * self.fock_dim
 
     def index(self, qd: int, n: int) -> int:
         """Composite basis index of |qd, n> (qd: 0 = |g>, 1 = |e>)."""
@@ -66,75 +56,27 @@ class HilbertSpace:
         return qd * self.fock_dim + n
 
 
-def fock_annihilation(photon_cutoff: int) -> np.ndarray:
-    """Ladder operator on the bare Fock factor: <n-1| a |n> = sqrt(n)."""
-    return np.diag(np.sqrt(np.arange(1.0, photon_cutoff + 1)), k=1).astype(complex)
-
-
-def qd_sigma_minus() -> np.ndarray:
-    """Dot lowering operator |g><e| on the bare two-level factor."""
-    out = np.zeros((2, 2), dtype=complex)
-    out[0, 1] = 1.0
-    return out
-
-
-def tensor(qd_part: np.ndarray, fock_part: np.ndarray,
-           space: HilbertSpace | None = None) -> np.ndarray:
-    """Kronecker product with the fixed dot-major factor ordering.
-
-    If ``space`` is given, the product dimension is checked against it.
-    """
-    a = np.asarray(qd_part, dtype=complex)
-    b = np.asarray(fock_part, dtype=complex)
-    for m in (a, b):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(f"tensor factors must be square, got shape {m.shape}")
-    out = np.kron(a, b)
-    if space is not None and out.shape[0] != space.dim:
-        raise DimensionMismatchError(
-            f"factor dims {a.shape[0]} x {b.shape[0]} do not compose to dim {space.dim}"
-        )
-    return out
-
-
-def dagger(op: np.ndarray) -> np.ndarray:
-    """Hermitian adjoint."""
-    return np.asarray(op).conj().T
-
-
 def annihilation_op(space: HilbertSpace) -> np.ndarray:
-    """Cavity annihilation on the composite space, I_2 (x) a."""
-    return tensor(np.eye(2), fock_annihilation(space.photon_cutoff), space)
+    """Cavity annihilation on the composite space, I_2 (x) a with <n-1| a |n> = sqrt(n)."""
+    ladder = np.diag(np.sqrt(np.arange(1.0, space.fock_dim)), k=1)
+    return np.kron(np.eye(2), ladder).astype(complex)
 
 
 def qd_lowering_op(space: HilbertSpace) -> np.ndarray:
-    """Dot lowering on the composite space, sigma_minus (x) I_fock."""
-    return tensor(qd_sigma_minus(), np.eye(space.fock_dim), space)
+    """Dot lowering on the composite space, |g><e| (x) I_fock."""
+    return np.kron([[0.0, 1.0], [0.0, 0.0]], np.eye(space.fock_dim)).astype(complex)
 
 
-def expectation(rho: np.ndarray, op: np.ndarray) -> complex:
-    """Trace functional Tr(rho O); real to ~1e-10 for Hermitian O and physical rho."""
-    rho = np.asarray(rho)
-    op = np.asarray(op)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatchError(f"density matrix must be square, got {rho.shape}")
-    if op.shape != rho.shape:
-        raise DimensionMismatchError(
-            f"operator shape {op.shape} does not match state shape {rho.shape}"
-        )
-    return complex(np.einsum("ij,ji->", rho, op))
-
-
-def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
-                            trace_tol: float = 1e-10, eig_floor: float = -1e-9) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within tolerance."""
+def validate_density_matrix(rho: np.ndarray) -> None:
+    """Raise ValueError unless rho is Hermitian and unit-trace to 1e-10 and has
+    no eigenvalue below -1e-9."""
     rho = np.asarray(rho)
     herm_defect = np.max(np.abs(rho - rho.conj().T))
-    if herm_defect > herm_tol:
+    if herm_defect > 1e-10:
         raise ValueError(f"density matrix not Hermitian: defect {herm_defect:.3e}")
     trace_defect = abs(np.trace(rho) - 1.0)
-    if trace_defect > trace_tol:
+    if trace_defect > 1e-10:
         raise ValueError(f"density matrix trace off by {trace_defect:.3e}")
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if min_eig < eig_floor:
+    if min_eig < -1e-9:
         raise ValueError(f"density matrix not positive: min eigenvalue {min_eig:.3e}")

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .fock_algebra import HilbertSpace, annihilation_op, dagger, qd_lowering_op
+from .fock_algebra import HilbertSpace, annihilation_op, qd_lowering_op
 
 __all__ = [
     "ModelParams",
@@ -117,9 +117,9 @@ def bimode_limit(params: ModelParams) -> ModelParams:
 def _hamiltonian_parts(space: HilbertSpace) -> tuple[np.ndarray, ...]:
     """Parameter-free operator blocks; H is a real linear combination of them."""
     a = annihilation_op(space)
-    ad = dagger(a)
+    ad = a.conj().T
     sm = qd_lowering_op(space)
-    sd = dagger(sm)
+    sd = sm.conj().T
     return (sd @ sm, ad @ a, sd @ a + sm @ ad, a + ad, a @ a + ad @ ad)
 
 

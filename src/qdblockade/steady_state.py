@@ -4,6 +4,10 @@ Solves L vec(rho) = 0 with the trace pinned to one by replacing a row of the
 sparse Liouvillian with the trace functional and factoring it with SuperLU.
 The solved rho is used as-is: no Hermitization or eigenvalue clamping, so the
 validity checks in tests measure the solver rather than a cosmetic cleanup.
+
+Both observables are weights of the photon-number distribution P(n), the
+diagonal of rho summed over the dot state: n_a = <a'a> = sum n P(n) and
+g2(0) = <a'a'aa> / n_a^2 with <a'a'aa> = sum n (n - 1) P(n).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import (
     SteadyStateResidualError,
     UndefinedCorrelationError,
 )
-from .fock_algebra import HilbertSpace, annihilation_op, dagger, expectation
+from .fock_algebra import HilbertSpace
 from .model import ModelParams, build_liouvillian, trace_vector, unvec
 
 __all__ = [
@@ -35,6 +39,8 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-9
+# top of the converged_solve ladder and of the CLI's --cutoff
+MAX_CUTOFF = 40
 
 # occupations below this are treated as exactly dark when forming ratios
 _DARK_FLOOR = 1e-12
@@ -49,14 +55,18 @@ class SteadyStateResult:
     residual: float
 
 
-def _observables(rho: np.ndarray, space: HilbertSpace) -> tuple[float, float]:
-    a = annihilation_op(space)
-    ad = dagger(a)
-    n_a = expectation(rho, ad @ a).real
+def _statistics(rho: np.ndarray, space: HilbertSpace) -> tuple[float, float]:
+    """(g2(0), n_a) from P(n); g2 is nan when n_a is below the dark floor."""
+    if np.shape(rho) != (space.dim, space.dim):
+        raise DimensionMismatchError(
+            f"state shape {np.shape(rho)} does not match space dim {space.dim}")
+    # the dot-major ordering makes diag(rho) a (dot, n) array
+    p = np.diagonal(rho).real.reshape(2, space.fock_dim).sum(axis=0)
+    n = np.arange(space.fock_dim)
+    n_a = float(n @ p)
     if n_a < _DARK_FLOOR:
         return math.nan, n_a
-    pair = expectation(rho, ad @ ad @ a @ a).real
-    return pair / (n_a * n_a), n_a
+    return float((n * (n - 1)) @ p) / (n_a * n_a), n_a
 
 
 # overflow leaves inf or nan, which the finiteness checks and residual gates refuse
@@ -112,34 +122,23 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
             raise SteadyStateResidualError(residual, RESIDUAL_TOL)
 
     rho = unvec(x)
-    g2, n_a = _observables(rho, space)
+    g2, n_a = _statistics(rho, space)
     return SteadyStateResult(rho, g2, n_a, space.photon_cutoff, residual)
 
 
 def mean_photon(rho: np.ndarray, space: HilbertSpace) -> float:
     """Tr(rho a'a)."""
-    _check_shape(rho, space)
-    a = annihilation_op(space)
-    return expectation(rho, dagger(a) @ a).real
+    return _statistics(rho, space)[1]
 
 
 def g2_zero_delay(rho: np.ndarray, space: HilbertSpace) -> float:
     """Equal-time second-order correlation Tr(rho a'a'aa) / Tr(rho a'a)^2."""
-    _check_shape(rho, space)
-    g2, n_a = _observables(rho, space)
+    g2, n_a = _statistics(rho, space)
     if math.isnan(g2):
         raise UndefinedCorrelationError(
             f"mean photon number {n_a:.3e} is numerically zero; g2(0) undefined"
         )
     return g2
-
-
-def _check_shape(rho: np.ndarray, space: HilbertSpace) -> None:
-    rho = np.asarray(rho)
-    if rho.shape != (space.dim, space.dim):
-        raise DimensionMismatchError(
-            f"state shape {rho.shape} does not match space dim {space.dim}"
-        )
 
 
 def _rel_change(old: float, new: float) -> float:
@@ -150,21 +149,20 @@ def _rel_change(old: float, new: float) -> float:
     return abs(new - old) / max(abs(new), 1e-9)
 
 
-def converged_solve(params: ModelParams, initial_cutoff: int = 4,
-                    rel_tol: float = 1e-6, max_cutoff: int = 40,
+def converged_solve(params: ModelParams, initial_cutoff: int = 4, rel_tol: float = 1e-6,
                     history: list[SteadyStateResult] | None = None) -> SteadyStateResult:
     """Raise the Fock cutoff in steps of 4 until g2(0) and n_a both settle.
 
     Returns the first solve whose relative change from the previous cutoff is
     below ``rel_tol`` for both observables (dark solves settle trivially).
     Pass ``history`` to record every intermediate SteadyStateResult.  Raises
-    CutoffConvergenceError if max_cutoff is reached without settling.
+    CutoffConvergenceError if MAX_CUTOFF is reached without settling.
     """
     prev = solve_steady_state(params, HilbertSpace(initial_cutoff))
     if history is not None:
         history.append(prev)
     cutoff = initial_cutoff + 4
-    while cutoff <= max_cutoff:
+    while cutoff <= MAX_CUTOFF:
         cur = solve_steady_state(params, HilbertSpace(cutoff))
         if history is not None:
             history.append(cur)
@@ -174,5 +172,5 @@ def converged_solve(params: ModelParams, initial_cutoff: int = 4,
         prev = cur
         cutoff += 4
     raise CutoffConvergenceError(
-        f"observables not settled to rel_tol={rel_tol:g} by cutoff {max_cutoff}"
+        f"observables not settled to rel_tol={rel_tol:g} by cutoff {MAX_CUTOFF}"
     )

@@ -1,8 +1,26 @@
-"""Operators and states that only the tests build on the dot (x) cavity space."""
+"""Operators and states that only the tests build on the dot (x) cavity space.
+
+The ladder operators are written out entry by entry and tensored with
+``np.kron`` in the dot-major order, apart from the package's own
+construction, so the tests can check the package against them.
+"""
 
 import numpy as np
 
-from qdblockade import HilbertSpace, annihilation_op, dagger
+from qdblockade import HilbertSpace
+
+
+def cavity_lowering(space: HilbertSpace) -> np.ndarray:
+    """I_2 (x) a with <n-1| a |n> = sqrt(n)."""
+    a = np.zeros((space.fock_dim, space.fock_dim), dtype=complex)
+    for n in range(1, space.fock_dim):
+        a[n - 1, n] = np.sqrt(n)
+    return np.kron(np.eye(2), a)
+
+
+def dot_lowering(space: HilbertSpace) -> np.ndarray:
+    """|g><e| (x) I_fock."""
+    return np.kron(np.array([[0, 1], [0, 0]], dtype=complex), np.eye(space.fock_dim))
 
 
 def identity(space: HilbertSpace) -> np.ndarray:
@@ -10,12 +28,11 @@ def identity(space: HilbertSpace) -> np.ndarray:
 
 
 def creation_op(space: HilbertSpace) -> np.ndarray:
-    return dagger(annihilation_op(space))
+    return cavity_lowering(space).conj().T
 
 
 def number_op(space: HilbertSpace) -> np.ndarray:
-    a = annihilation_op(space)
-    return dagger(a) @ a
+    return creation_op(space) @ cavity_lowering(space)
 
 
 def basis_state(space: HilbertSpace, qd: int, n: int) -> np.ndarray:

@@ -299,11 +299,15 @@ def test_mean_photon_matches_steady_state():
 
 
 def test_hierarchy_warning_fires_only_outside_domain():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        amplitudes_closed_form(REF)
-    assert not caught
     # dot shielding kills c1g faster than c2g: hierarchy inverted
     dark = ModelParams(delta=0.0, delta_a=20.0, g=20.0, E=0.1, U=0.0005)
-    with pytest.warns(RuntimeWarning, match="hierarchy"):
-        amplitudes_closed_form(dark)
+    for entry_point in (amplitudes_closed_form, amplitudes_linear_solve,
+                        g2_weak_drive, mean_photon_weak_drive):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entry_point(REF)
+        assert not caught
+        with pytest.warns(RuntimeWarning, match="hierarchy") as record:
+            entry_point(dark)
+        # the warning points at the caller, not into the library
+        assert [w.filename for w in record] == [__file__], entry_point.__name__

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -100,11 +101,26 @@ def test_usage_errors_exit_1(capsys, monkeypatch, argv):
     assert len(err.splitlines()) == 1
 
 
-def test_point_hides_hierarchy_warning(capsys, recwarn):
+def test_point_hides_hierarchy_warning(capsys, recwarn, monkeypatch):
     # at E = 5 the weak-drive expansion is far outside its domain
     code, _, _ = run(capsys, ["point", "--E", "5", "--engines", "analytic"])
     assert code == 0
     assert not [w for w in recwarn if "hierarchy" in str(w.message)]
+    # a sweep that crosses from inside the domain to far outside it
+    code, out, _ = run(capsys, ["sweep", "--axis", "E:0.1:5:4", "--engines", "analytic"])
+    assert code == 0
+    assert [r["status"] for r in parse_csv(out)[1]] == ["ok"] * 4
+    assert not [w for w in recwarn if "hierarchy" in str(w.message)]
+    # any other warning raised while evaluating a row still gets through
+    g2_weak_drive = cli.g2_weak_drive
+
+    def noisy(params):
+        warnings.warn("some other trouble", RuntimeWarning)
+        return g2_weak_drive(params)
+    monkeypatch.setattr(cli, "g2_weak_drive", noisy)
+    code, _, _ = run(capsys, ["sweep", "--axis", "E:0.1:5:4", "--engines", "analytic"])
+    assert code == 0
+    assert {str(w.message) for w in recwarn} == {"some other trouble"}
 
 
 @pytest.mark.parametrize("engines", ["numeric", "analytic", "numeric,analytic"])
@@ -188,6 +204,20 @@ def test_config_supplies_defaults_and_flags_override(capsys, tmp_path):
     code, overridden, _ = run(capsys, ["point", "--config", str(cfg), "--delta", "30"])
     assert code == 0
     assert overridden != from_cfg
+
+
+@pytest.mark.parametrize("line, key", [("gnuplot = x", "gnuplot"),
+                                       ("config = y", "config"),
+                                       ("cutoff = 4.5", "cutoff")])
+def test_config_refuses_keys_and_values_it_cannot_set(capsys, tmp_path, line, key):
+    # --gnuplot and --config are flags only; cutoff must be an int
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, ["point", "--config", str(cfg), "--cutoff", "4"])
+    assert code == 1
+    assert out == ""
+    assert f"{key!r}" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_sweep_writes_deterministic_csv(capsys, tmp_path):

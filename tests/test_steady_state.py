@@ -19,12 +19,13 @@ from qdblockade import (
     mean_photon,
     mean_photon_weak_drive,
     solve_steady_state,
+    steady_state,
     unvec,
     validate_density_matrix,
 )
 
 from dense_oracle import dense_steady_state
-from fock_helpers import basis_state
+from fock_helpers import basis_state, cavity_lowering, creation_op, number_op
 
 REF = ModelParams(delta=-20.0, delta_a=-20.0, g=20.0, E=0.1, U=0.0005)
 
@@ -91,6 +92,28 @@ def test_observable_shape_checks():
         mean_photon(np.eye(6) / 6.0, space)
     with pytest.raises(DimensionMismatchError):
         g2_zero_delay(np.eye(6) / 6.0, space)
+
+
+@pytest.mark.parametrize("cutoff", [2, 6, 12])
+def test_statistics_equal_dense_traces_on_random_states(cutoff):
+    # the package reads P(n) off diag(rho); the traces use the dense test operators
+    space = HilbertSpace(cutoff)
+    a, ad = cavity_lowering(space), creation_op(space)
+    pair_op = ad @ ad @ a @ a
+    rng = np.random.default_rng(2000 + cutoff)
+    for _ in range(20):
+        m = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+        rho = m @ m.conj().T
+        rho /= np.trace(rho)
+        n_a = np.trace(rho @ number_op(space)).real
+        g2 = np.trace(rho @ pair_op).real / n_a**2
+        assert mean_photon(rho, space) == pytest.approx(n_a, rel=1e-12)
+        assert g2_zero_delay(rho, space) == pytest.approx(g2, rel=1e-12)
+    # a solved state goes through the same statistics
+    res = solve_steady_state(REF, space)
+    n_a = np.trace(res.rho @ number_op(space)).real
+    assert res.n_a == pytest.approx(n_a, rel=1e-12)
+    assert res.g2_zero == pytest.approx(np.trace(res.rho @ pair_op).real / n_a**2, rel=1e-12)
 
 
 def test_degenerate_generator_is_refused():
@@ -252,7 +275,8 @@ def test_converged_solve_strong_drive_needs_larger_cutoff():
     assert all(b >= a for a, b in zip(occupations, occupations[1:]))
 
 
-def test_converged_solve_reports_failure():
+def test_converged_solve_reports_failure(monkeypatch):
+    monkeypatch.setattr(steady_state, "MAX_CUTOFF", 12)
     p = ModelParams(delta=0.0, delta_a=0.0, g=20.0, E=2.0, U=0.0005)
-    with pytest.raises(CutoffConvergenceError):
-        converged_solve(p, max_cutoff=12)
+    with pytest.raises(CutoffConvergenceError, match="by cutoff 12"):
+        converged_solve(p)
