@@ -1,14 +1,13 @@
 """Map of g2(0) over both detunings: hyperbola valleys, interference channel.
 
-The map itself uses the weak-drive theory (instant per point); a handful of
-full steady-state solves then confirm the analytic picture where it matters.
+The map itself uses the weak-drive theory (one array evaluation for the whole
+plane); a handful of full steady-state solves then confirm the analytic
+picture where it matters.
 """
-
-import warnings
 
 import numpy as np
 
-from qdblockade.analytic import g2_weak_drive
+from qdblockade.analytic import g2_weak_drive, weak_drive_grid
 from qdblockade.fock_algebra import HilbertSpace
 from qdblockade.model import ModelParams
 from qdblockade.steady_state import solve_steady_state
@@ -18,15 +17,8 @@ E = 0.1
 U = 0.0005
 
 axis = np.arange(-60.0, 60.0 + 0.25, 0.5)
-g2 = np.empty((axis.size, axis.size))
-# the full plane includes points where the truncated expansion breaks down
-# (that is the map's point); keep the per-point warnings quiet
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", RuntimeWarning)
-    for j, da in enumerate(axis):
-        for i, d in enumerate(axis):
-            g2[j, i] = g2_weak_drive(
-                ModelParams(delta=float(d), delta_a=float(da), g=G, E=E, U=U))
+# rows run along delta_a, columns along delta
+g2 = weak_drive_grid(delta=axis, delta_a=axis[:, np.newaxis], g=G, E=E, U=U).g2
 
 # quadrant minima; the hyperbola lives in quadrants 1 and 3, the interference
 # channel sweeps through 2 and continues weakly into 4

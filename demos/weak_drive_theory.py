@@ -11,6 +11,7 @@ from qdblockade.analytic import (
     g2_weak_drive,
     mean_photon_weak_drive,
     ucpb_roots,
+    weak_drive_grid,
 )
 from qdblockade.model import ModelParams
 
@@ -48,9 +49,7 @@ print(f"hyperbola partner of delta_a = 20 at g = 20: "
 
 # same cut seen as a curve
 deltas = np.arange(-60.0, 60.0 + 0.125, 0.25)
-g2 = np.array([g2_weak_drive(ModelParams(delta=float(d), delta_a=20.0,
-                                         g=20.0, E=0.1, U=0.0005))
-               for d in deltas])
+g2 = weak_drive_grid(delta=deltas, delta_a=20.0, g=20.0, E=0.1, U=0.0005).g2
 
 try:
     import matplotlib

@@ -30,7 +30,6 @@ from .model import (
     ModelParams,
     PumpParams,
     bimode_limit,
-    build_hamiltonian,
     build_liouvillian,
     effective_gain,
     jc_limit,

@@ -8,15 +8,12 @@ follow the grid order, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import itertools
 import math
 import sys
-import warnings
 
 import numpy as np
 
-from .analytic import g2_weak_drive, mean_photon_weak_drive, ucpb_roots
+from .analytic import failure_error, ucpb_roots, weak_drive_grid
 from .errors import BlockadeError, CutoffConvergenceError, UndefinedCorrelationError
 from .fock_algebra import HilbertSpace
 from .model import ModelParams, bimode_limit, jc_limit
@@ -142,47 +139,63 @@ def _params_from_args(args) -> ModelParams:
         raise _UsageError(str(exc))
 
 
-def _numeric(args):
-    """Numeric engine: one solve at --cutoff, or the rising-cutoff ladder."""
-    def evaluate(params: ModelParams) -> tuple:
-        if args.converge_tol is None:
-            res = solve_steady_state(params, HilbertSpace(args.cutoff))
-        else:
-            res = converged_solve(params, initial_cutoff=args.cutoff,
-                                  rel_tol=args.converge_tol)
-        return res.g2_zero, res.n_a, res.cutoff_used, res.residual
+def _numeric(args, limit=lambda params: params):
+    """Numeric engine: one solve per point of ``limit(params)`` at --cutoff, or the
+    rising-cutoff ladder."""
+    def evaluate(fields: dict) -> tuple:
+        n = len(fields["delta"])
+        g2, n_a, residual = np.full(n, math.nan), np.full(n, math.nan), np.full(n, math.nan)
+        cutoff_used = np.full(n, args.cutoff)
+        failure = [None] * n
+        for i, values in enumerate(zip(*(v.tolist() for v in fields.values()))):
+            params = limit(ModelParams(**dict(zip(fields, values))))
+            try:
+                if args.converge_tol is None:
+                    res = solve_steady_state(params, HilbertSpace(args.cutoff))
+                else:
+                    res = converged_solve(params, initial_cutoff=args.cutoff,
+                                          rel_tol=args.converge_tol)
+            except BlockadeError as exc:
+                failure[i] = exc
+            else:
+                g2[i], n_a[i], cutoff_used[i], residual[i] = (
+                    res.g2_zero, res.n_a, res.cutoff_used, res.residual)
+        return g2, n_a, cutoff_used, residual, failure
     return evaluate
 
 
 def _analytic(args):
-    """Weak-drive engine; it has no cutoff or residual of its own."""
-    def evaluate(params: ModelParams) -> tuple:
-        n_a = mean_photon_weak_drive(params)
-        try:
-            g2 = g2_weak_drive(params)
-        except UndefinedCorrelationError:
-            g2 = math.nan
-        return g2, n_a, args.cutoff, math.nan
+    """Weak-drive engine, one array evaluation for the whole grid; it has no
+    cutoff or residual of its own."""
+    def evaluate(fields: dict) -> tuple:
+        grid = weak_drive_grid(**fields)
+        n_a = grid.n_a.copy()
+        failure = [None] * n_a.size
+        for i in np.flatnonzero(grid.n_a_failure | grid.g2_failure).tolist():
+            exc = failure_error(int(grid.n_a_failure[i] or grid.g2_failure[i]))
+            if not isinstance(exc, UndefinedCorrelationError):  # that leaves only g2 nan
+                failure[i], n_a[i] = exc, math.nan
+        return (grid.g2, n_a, np.full(n_a.size, args.cutoff), np.full(n_a.size, math.nan),
+                failure)
     return evaluate
 
 
 def cmd_grid(args) -> int:
-    """point, sweep, sweep2d, compare: one record per grid point, one CSV row each.
+    """point, sweep, sweep2d, compare: one CSV row per grid point.
 
-    Every column evaluates to (g2, n_a, cutoff_used, residual).  A failing
-    column leaves nan cells, and the first failing column in output order
-    sets the status; ``point`` (no axes) exits 3 on it instead.
+    Every column evaluates the whole grid to arrays (g2, n_a, cutoff_used,
+    residual) and a list of per-point failures (None or the BlockadeError).
+    A failing point holds nan cells, and the first failing column in output
+    order sets its status; ``point`` (no axes) exits 3 on it instead.
     """
     base = _params_from_args(args)
-    numeric = _numeric(args)
     if args.command == "compare":
-        columns = [("composite", numeric),
-                   ("jc", lambda p: numeric(jc_limit(p))),
-                   ("bimode", lambda p: numeric(bimode_limit(p)))]
+        columns = [("composite", _numeric(args)), ("jc", _numeric(args, jc_limit)),
+                   ("bimode", _numeric(args, bimode_limit))]
         info = []
     else:
-        engines = {"numeric": numeric, "analytic": _analytic(args)}
-        columns = [(e, engines[e]) for e in _parse_engines(args.engines)]
+        engines = {"numeric": _numeric, "analytic": _analytic}
+        columns = [(e, engines[e](args)) for e in _parse_engines(args.engines)]
         info = ["cutoff_used", "residual"]
     axes = [_parse_axis(getattr(args, flag))
             for flag in _SUBCOMMANDS[args.command][2] if flag.startswith("axis")]
@@ -195,34 +208,31 @@ def cmd_grid(args) -> int:
     code = _write_gnuplot(args, header, two_d=len(axes) == 2) if axes else 0
     if code:
         return code
-    lines = [",".join(header)]
-    grids = [np.linspace(start, stop, steps).tolist() for _, start, stop, steps in axes]
-    fixed = {k: v for k, v in vars(base).items() if k not in names}
-    # a full-axis sweep crosses the weak-drive expansion's breakdown region on
-    # purpose; its per-point hierarchy warning is only noise here
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "weak-drive amplitude hierarchy", RuntimeWarning)
-        # the last axis is the slow (outer) index
-        for point in itertools.product(*reversed(grids)):
-            coords = list(reversed(point))
-            params = ModelParams(**fixed, **dict(zip(names, coords)))
-            outs, failed = [], []
-            for label, evaluate in columns:
-                try:
-                    outs.append(evaluate(params))
-                except BlockadeError as exc:
-                    outs.append((math.nan, math.nan, args.cutoff, math.nan))
-                    failed.append((label, exc))
-            if failed and not axes:
-                print(f"error: {_ENGINES[failed[0][0]]} failed: {failed[0][1]}", file=sys.stderr)
+    # the last axis is the slow (outer) index
+    coords = [m.ravel(order="F") for m in np.meshgrid(
+        *(np.linspace(start, stop, steps) for _, start, stop, steps in axes), indexing="ij")]
+    n = math.prod(steps for *_, steps in axes)
+    fields = {k: np.full(n, v) for k, v in vars(base).items()}
+    fields.update(zip(names, coords))
+    outs = [evaluate(fields) for _, evaluate in columns]
+    if not axes:
+        for label, (*_, failure) in zip(labels, outs):
+            if failure[0] is not None:
+                print(f"error: {_ENGINES[label]} failed: {failure[0]}", file=sys.stderr)
                 return 3
-            status = ("ok" if not failed else "no_converge"
-                      if isinstance(failed[0][1], CutoffConvergenceError) else "singular")
-            cells = coords + [o[0] for o in outs] + [o[1] for o in outs]
-            if info:
-                cells += outs[0][2:]  # from the first engine
-            lines.append(",".join(_fmt(c) for c in cells + [status]))
-    return _emit(lines, args.out)
+    first = [None] * n
+    for *_, failure in reversed(outs):
+        first = [f if f is not None else later for f, later in zip(failure, first)]
+    status = ["ok" if f is None else "no_converge" if isinstance(f, CutoffConvergenceError)
+              else "singular" for f in first]
+    cells = coords + [o[0] for o in outs] + [o[1] for o in outs]
+    formats = ["%.8e"] * len(cells)
+    if info:
+        cells += outs[0][2:4]  # from the first engine
+        formats += ["%d", "%.8e"]
+    template = ",".join(formats + ["%s"])
+    rows = zip(*(c.tolist() for c in cells), status)
+    return _emit([",".join(header)] + [template % row for row in rows], args.out)
 
 
 def cmd_optimum(args) -> int:
@@ -234,12 +244,9 @@ def cmd_optimum(args) -> int:
     lines = ["kind,variable,value,c2g_residual,g2_weak_drive"]
     if not roots:
         lines.append(f"# no blockade roots found in [{_fmt(start)}, {_fmt(stop)}]")
-    for root in roots:
-        at_root = dataclasses.replace(params, **{root.variable: root.value})
-        try:
-            g2 = g2_weak_drive(at_root)
-        except BlockadeError:
-            g2 = math.nan
+    # every root lies on the searched axis; g2 is nan where it fails
+    at_roots = weak_drive_grid(**{**vars(params), name: [r.value for r in roots]})
+    for root, g2 in zip(roots, at_roots.g2.tolist()):
         lines.append(",".join([root.kind, root.variable, _fmt(root.value),
                                _fmt(root.residual), _fmt(g2)]))
     return _emit(lines, args.out)

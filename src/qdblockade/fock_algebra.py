@@ -47,14 +47,6 @@ class HilbertSpace:
     def dim(self) -> int:
         return 2 * self.fock_dim
 
-    def index(self, qd: int, n: int) -> int:
-        """Composite basis index of |qd, n> (qd: 0 = |g>, 1 = |e>)."""
-        if qd not in (0, 1):
-            raise ValueError(f"qd level must be 0 or 1, got {qd}")
-        if not 0 <= n <= self.photon_cutoff:
-            raise ValueError(f"Fock level {n} outside cutoff {self.photon_cutoff}")
-        return qd * self.fock_dim + n
-
 
 def annihilation_op(space: HilbertSpace) -> np.ndarray:
     """Cavity annihilation on the composite space, I_2 (x) a with <n-1| a |n> = sqrt(n)."""

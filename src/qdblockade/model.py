@@ -2,7 +2,7 @@
 
 Everything is dimensionless, measured in units of the dot decay rate (kept as
 the explicit field ``gamma`` so absolute-rate users can carry their own unit).
-In the frame rotating at the drive, the Hamiltonian assembled here is
+In the frame rotating at the drive, the Hamiltonian is
 
     H = delta s+s- + delta_a a'a + g (s+ a + s- a') + E (a + a') + U (a^2 + a'^2),
 
@@ -25,17 +25,19 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock_algebra import HilbertSpace, annihilation_op, qd_lowering_op
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "ModelParams",
     "PumpParams",
     "bimode_limit",
-    "build_hamiltonian",
     "build_liouvillian",
     "effective_gain",
     "jc_limit",
@@ -123,16 +125,6 @@ def _hamiltonian_parts(space: HilbertSpace) -> tuple[np.ndarray, ...]:
     return (sd @ sm, ad @ a, sd @ a + sm @ ad, a + ad, a @ a + ad @ ad)
 
 
-def build_hamiltonian(params: ModelParams, space: HilbertSpace) -> np.ndarray:
-    """Dense drive-frame Hamiltonian on the composite space (Hermitian)."""
-    qd, cav, coupling, drive, squeeze = _hamiltonian_parts(space)
-    return (params.delta * qd
-            + params.delta_a * cav
-            + params.g * coupling
-            + params.E * drive
-            + params.U * squeeze)
-
-
 def vec(rho: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""
     return np.asarray(rho).reshape(-1, order="F")
@@ -161,6 +153,8 @@ def build_liouvillian(params: ModelParams, space: HilbertSpace) -> sp.csc_array:
     to the dense Kronecker sums.  vec(I) is a left null vector (the trace is
     preserved).  Parameters that overflow float64 leave inf or nan entries.
     """
+    import scipy.sparse as sp  # deferred: the weak-drive paths never load SciPy
+
     indices, indptr, (loss, decay, *commutators) = _generator_parts(space)
     weights = (params.delta, params.delta_a, params.g, params.E, params.U)
     data = np.zeros(indices.size, dtype=complex)
@@ -177,6 +171,8 @@ def _generator_parts(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.nd
     """Read-only CSC ``(indices, indptr)`` shared by every generator on ``space``,
     and on it the real values of D[a], D[s-] and Im(-i[H_k, .]) for each block
     H_k of :func:`_hamiltonian_parts`, one row each (4.5 MB at cutoff 40)."""
+    import scipy.sparse as sp
+
     # the ladder operators and every H_k are real, so each block is too
     eye = sp.eye_array(space.dim, format="csr")
     ladders = [sp.csr_array(op.real) for op in (annihilation_op(space), qd_lowering_op(space))]

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import (
     CutoffConvergenceError,
@@ -81,6 +79,9 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
     space of dimension > 1 raises DegenerateSteadyStateError; an overflowing
     generator or an SVD that does not converge raises SingularSystemError.
     """
+    import scipy.sparse as sp  # deferred: the weak-drive paths never load SciPy
+    from scipy.sparse.linalg import splu
+
     liou = build_liouvillian(params, space)
     if not np.all(np.isfinite(liou.data)):
         raise SingularSystemError("Liouvillian has non-finite entries (parameters overflow)")

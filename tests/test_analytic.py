@@ -1,10 +1,14 @@
 import dataclasses
+import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+import analytic_oracle
 from qdblockade import (
+    BlockadeError,
     HilbertSpace,
     ModelParams,
     SingularSystemError,
@@ -18,6 +22,8 @@ from qdblockade import (
     solve_steady_state,
     ucpb_roots,
 )
+from qdblockade.analytic import failure_error, weak_drive_grid
+from qdblockade.cli import _fmt
 
 SQRT2 = np.sqrt(2.0)
 
@@ -108,6 +114,10 @@ def test_extreme_drives_end_in_blockade_errors():
             g2_weak_drive(ModelParams(E=1e80))
         with pytest.raises(UndefinedCorrelationError, match="underflows"):
             g2_weak_drive(ModelParams(E=5e-90))
+        # lossless denominators whose product underflows to zero
+        with pytest.raises(SingularSystemError, match="amplitudes overflow"):
+            g2_weak_drive(ModelParams(delta=1e-160, delta_a=1e-160, E=0.1,
+                                      kappa=0.0, gamma=0.0))
 
 
 @pytest.mark.parametrize("scalar", [float, np.float64])
@@ -311,3 +321,78 @@ def test_hierarchy_warning_fires_only_outside_domain():
             entry_point(dark)
         # the warning points at the caller, not into the library
         assert [w.filename for w in record] == [__file__], entry_point.__name__
+
+
+def _edge_cells():
+    # delta, delta_a from which lossless cells put d1, d2, s and delta' at zero
+    # for g = 1 and g = 20; E spans undriven, underflowing and overflowing drives
+    return [dict(delta=d, delta_a=da, g=g, E=E, U=U, kappa=kappa, gamma=gamma)
+            for g, E, U, kappa, gamma, d, da in itertools.product(
+                (0.0, 1.0, 20.0), (0.0, 0.1, 1e-89, 1e-170, 1e80, 7e153), (0.0, 5e-4, 1e300),
+                (0.0, 1.0), (0.0, 1.0), (-20.0, -5.0, -1.0, 0.0, 1.0, 5.0, 20.0, 30.0),
+                (-20.0, -5.0, -1.0, 0.0, 1.0, 5.0, 10.0, 20.0))]
+
+
+def _paper_map_cells():
+    # the 241x241 map of the paper, shifted off the round grid
+    axis = np.linspace(-60.0, 60.0, 241)
+    return [dict(delta=d, delta_a=da, g=20.0, E=0.1, U=0.0005, kappa=1.0, gamma=1.0)
+            for da in (axis - 0.0291).tolist() for d in (axis + 0.0137).tolist()]
+
+
+def _outcome(fn, params):
+    try:
+        return fn(params), None
+    except BlockadeError as exc:
+        return None, exc
+
+
+def _within_4_ulp(a, b):
+    return abs(a - b) <= 4 * math.ulp(max(abs(a), abs(b)))
+
+
+@pytest.mark.parametrize("cells", [_paper_map_cells, _edge_cells])
+def test_grid_matches_scalar_oracle(cells):
+    cells = cells()
+    grid = weak_drive_grid(**{k: np.array([c[k] for c in cells]) for k in cells[0]})
+    amplitudes = (grid.c0e, grid.c1g, grid.c1e, grid.c2g)
+    for i, params in enumerate(ModelParams(**c) for c in cells):
+        for fn, values, failure in ((analytic_oracle.amplitudes, None, grid.amplitudes_failure),
+                                    (analytic_oracle.g2_weak_drive, grid.g2, grid.g2_failure),
+                                    (analytic_oracle.mean_photon_weak_drive, grid.n_a,
+                                     grid.n_a_failure)):
+            want, exc = _outcome(fn, params)
+            got = failure_error(int(failure[i])) if failure[i] else None
+            assert (type(got), str(got)) == (type(exc), str(exc)), (cells[i], fn.__name__)
+            if exc is not None:
+                assert values is None or math.isnan(values[i])
+                continue
+            if values is None:  # the four amplitudes, part by part
+                pairs = [(part(w), part(a[i])) for w, a in zip(want, amplitudes)
+                         for part in (np.real, np.imag)]
+            else:
+                pairs = [(want, values[i])]
+            for w, a in pairs:
+                assert _within_4_ulp(w, a), (cells[i], fn.__name__, w, a)
+                assert _fmt(w) == _fmt(a), (cells[i], fn.__name__, w, a)
+
+
+def test_scalar_entry_points_raise_what_the_oracle_raises():
+    # one edge cell for each distinct outcome of each entry point
+    seen = set()
+    for params in (ModelParams(**c) for c in _edge_cells()):
+        for ours, oracle in ((amplitudes_closed_form, analytic_oracle.amplitudes),
+                             (g2_weak_drive, analytic_oracle.g2_weak_drive),
+                             (mean_photon_weak_drive, analytic_oracle.mean_photon_weak_drive)):
+            _, want = _outcome(oracle, params)
+            key = (ours.__name__, type(want), str(want))
+            if key in seen:
+                continue
+            seen.add(key)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                _, got = _outcome(ours, params)
+            assert (type(got), str(got)) == (type(want), str(want)), (params, ours.__name__)
+    # every failure the grid can report was met
+    assert {msg for _, kind, msg in seen if kind is not type(None)} == {
+        str(failure_error(code)) for code in range(1, 10)}

@@ -111,13 +111,13 @@ def test_point_hides_hierarchy_warning(capsys, recwarn, monkeypatch):
     assert code == 0
     assert [r["status"] for r in parse_csv(out)[1]] == ["ok"] * 4
     assert not [w for w in recwarn if "hierarchy" in str(w.message)]
-    # any other warning raised while evaluating a row still gets through
-    g2_weak_drive = cli.g2_weak_drive
+    # any other warning raised while evaluating the grid still gets through
+    weak_drive_grid = cli.weak_drive_grid
 
-    def noisy(params):
+    def noisy(**fields):
         warnings.warn("some other trouble", RuntimeWarning)
-        return g2_weak_drive(params)
-    monkeypatch.setattr(cli, "g2_weak_drive", noisy)
+        return weak_drive_grid(**fields)
+    monkeypatch.setattr(cli, "weak_drive_grid", noisy)
     code, _, _ = run(capsys, ["sweep", "--axis", "E:0.1:5:4", "--engines", "analytic"])
     assert code == 0
     assert {str(w.message) for w in recwarn} == {"some other trouble"}
@@ -354,28 +354,49 @@ def test_module_entry_point():
 
 def test_overflowing_sweep_prints_no_warnings():
     # in a child, so that NumPy warnings would reach its stderr
-    proc = subprocess.run(
-        [sys.executable, "-m", "qdblockade", "sweep", "--axis", "E:0:1e308:3",
-         "--cutoff", "4", "--engines", "numeric"],
-        capture_output=True, text=True, timeout=120, env=child_env())
-    assert proc.returncode == 0
-    assert proc.stderr == ""
-    assert proc.stdout.splitlines()[2:] == ["5.00000000e+307,nan,nan,4,nan,singular",
-                                            "1.00000000e+308,nan,nan,4,nan,singular"]
+    for engines in ("numeric", "analytic"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdblockade", "sweep", "--axis", "E:0:1e308:3",
+             "--cutoff", "4", "--engines", engines],
+            capture_output=True, text=True, timeout=120, env=child_env())
+        assert proc.returncode == 0
+        assert proc.stderr == "", engines
+        assert proc.stdout.splitlines()[2:] == ["5.00000000e+307,nan,nan,4,nan,singular",
+                                                "1.00000000e+308,nan,nan,4,nan,singular"]
+
+
+def run_measuring_peak(argv, timeout):
+    """Run the CLI in a child; return the finished process and the child's own peak RSS.
+
+    The peak is VmHWM from the child's /proc/self/status: ru_maxrss, even
+    RUSAGE_SELF in the child, carries this process's high-water mark across exec.
+    """
+    report = ("import re, sys; from qdblockade.cli import main; code = main(); "
+              "status = open('/proc/self/status').read(); "
+              "print(re.search(r'VmHWM:\\s*(\\d+) kB', status)[1], file=sys.stderr); "
+              "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", report, *argv], capture_output=True,
+                          text=True, timeout=timeout, env=child_env())
+    return proc, int(proc.stderr.split()[-1]) * 1024  # the kernel's kB are KiB
 
 
 def test_point_at_top_cutoff_stays_small():
     # at cutoff 40 the generator is 6724 x 6724, 723 MB if it were dense
-    report = ("import resource, sys; from qdblockade.cli import main; code = main(); "
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
-              "sys.exit(code)")
-    proc = subprocess.run(
-        [sys.executable, "-c", report, "point", *REF_ARGS, "--cutoff", "40",
-         "--engines", "numeric"],
-        capture_output=True, text=True, timeout=300, env=child_env())
+    proc, peak_bytes = run_measuring_peak(["point", *REF_ARGS, "--cutoff", "40",
+                                           "--engines", "numeric"], timeout=300)
     assert proc.returncode == 0
     _, rows = parse_csv(proc.stdout)
     assert rows[0]["cutoff_used"] == "40"
     assert float(rows[0]["residual"]) < 1e-9
-    maxrss_bytes = int(proc.stderr.split()[-1]) * 1024  # ru_maxrss is in KiB on Linux
-    assert maxrss_bytes < 400e6
+    assert peak_bytes < 400e6
+
+
+def test_analytic_paper_map_stays_small(tmp_path):
+    # the 241x241 weak-drive map of the paper, 58081 rows
+    out = tmp_path / "map.csv"
+    proc, peak_bytes = run_measuring_peak(
+        ["sweep2d", "--axis", "delta:-60:60:241", "--axis2", "delta_a:-60:60:241",
+         *REF_ARGS[4:], "--engines", "analytic", "--out", str(out)], timeout=120)
+    assert proc.returncode == 0
+    assert len(out.read_text().splitlines()) == 1 + 241 * 241
+    assert peak_bytes < 90e6

@@ -1,0 +1,50 @@
+"""Which SciPy modules a CLI run loads, checked in child processes.
+
+Only the numeric steady-state solve and the ``optimum`` root scan need SciPy;
+an import of the CLI, a weak-drive sweep and a usage error load none of it.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+from test_cli import child_env
+
+# runs the CLI on the given argv, then prints its exit code and the loaded scipy modules
+REPORT = ("import sys; from qdblockade.cli import main; code = main(); "
+          "print(code, *sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+
+
+def loaded_scipy(argv):
+    proc = subprocess.run([sys.executable, "-c", REPORT, *argv], capture_output=True,
+                          text=True, timeout=120, env=child_env())
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qdblockade.cli; "
+         "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["sweep", "--axis", "delta:-60:60:481", "--delta-a", "20", "--g", "20", "--E", "0.1",
+      "--U", "0.0005", "--engines", "analytic"], 0),
+    (["point", "--delta", "nan"], 1),
+])
+def test_weak_drive_runs_and_usage_errors_load_no_scipy(argv, exit_code):
+    code, modules = loaded_scipy(argv)
+    assert code == exit_code
+    assert modules == set()
+
+
+def test_numeric_point_loads_the_sparse_solver():
+    code, modules = loaded_scipy(["point", "--E", "0.1", "--cutoff", "4",
+                                  "--engines", "numeric"])
+    assert code == 0
+    assert "scipy.sparse.linalg" in modules

@@ -7,7 +7,6 @@ from qdblockade import (
     ModelParams,
     PumpParams,
     bimode_limit,
-    build_hamiltonian,
     build_liouvillian,
     effective_gain,
     jc_limit,
@@ -17,7 +16,7 @@ from qdblockade import (
 )
 
 from dense_oracle import dense_liouvillian
-from fock_helpers import basis_state
+from fock_helpers import basis_index, basis_state, hamiltonian
 
 SQRT2 = np.sqrt(2.0)
 
@@ -76,11 +75,11 @@ def test_pump_params_validation():
 def test_hamiltonian_diagonal_when_undriven():
     space = HilbertSpace(4)
     p = ModelParams(delta=3.0, delta_a=-1.5)
-    h = build_hamiltonian(p, space)
+    h = hamiltonian(p, space)
     assert np.allclose(h, np.diag(np.diag(h)))
     for n in range(space.photon_cutoff + 1):
-        g_idx = space.index(0, n)
-        e_idx = space.index(1, n)
+        g_idx = basis_index(space, 0, n)
+        e_idx = basis_index(space, 1, n)
         assert abs(h[g_idx, g_idx] - n * p.delta_a) < 1e-12
         assert abs(h[e_idx, e_idx] - (n * p.delta_a + p.delta)) < 1e-12
 
@@ -88,13 +87,13 @@ def test_hamiltonian_diagonal_when_undriven():
 def test_hamiltonian_matrix_elements():
     space = HilbertSpace(4)
     p = ModelParams(delta=-7.0, delta_a=2.0, g=20.0, E=0.1, U=0.0005)
-    h = build_hamiltonian(p, space)
+    h = hamiltonian(p, space)
     # two-photon drive connects |0,g> to |2,g> with the sqrt(2) ladder factor
-    assert abs(h[space.index(0, 2), space.index(0, 0)] - SQRT2 * p.U) < 1e-15
+    assert abs(h[basis_index(space, 0, 2), basis_index(space, 0, 0)] - SQRT2 * p.U) < 1e-15
     # exchange coupling between |1,e> and |2,g> carries the same factor
-    assert abs(h[space.index(1, 1), space.index(0, 2)] - SQRT2 * p.g) < 1e-12
-    assert abs(h[space.index(0, 1), space.index(1, 0)] - p.g) < 1e-12
-    assert abs(h[space.index(0, 1), space.index(0, 0)] - p.E) < 1e-15
+    assert abs(h[basis_index(space, 1, 1), basis_index(space, 0, 2)] - SQRT2 * p.g) < 1e-12
+    assert abs(h[basis_index(space, 0, 1), basis_index(space, 1, 0)] - p.g) < 1e-12
+    assert abs(h[basis_index(space, 0, 1), basis_index(space, 0, 0)] - p.E) < 1e-15
 
 
 def test_hamiltonian_hermitian_for_random_params():
@@ -104,7 +103,7 @@ def test_hamiltonian_hermitian_for_random_params():
         p = ModelParams(delta=rng.uniform(-60, 60), delta_a=rng.uniform(-60, 60),
                         g=rng.uniform(0, 30), E=rng.uniform(0, 0.5),
                         U=rng.uniform(0, 0.01), kappa=rng.uniform(0.1, 3))
-        h = build_hamiltonian(p, space)
+        h = hamiltonian(p, space)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
