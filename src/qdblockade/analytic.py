@@ -236,10 +236,10 @@ class _Complex:
     def modulus(self) -> np.ndarray:
         return np.hypot(self.re, self.im)
 
-    def where(self, keep: np.ndarray, other: complex) -> np.ndarray:
-        """Complex ndarray of this value where ``keep``, else ``other``."""
-        z = np.array(np.where(keep, self.re, other.real), dtype=complex)
-        z.imag = np.where(keep, self.im, other.imag)
+    def or_nan(self, keep: np.ndarray) -> np.ndarray:
+        """Complex ndarray of this value where ``keep``, nan elsewhere."""
+        z = np.array(np.where(keep, self.re, np.nan), dtype=complex)
+        z.imag = np.where(keep, self.im, np.nan)
         return z
 
 
@@ -304,7 +304,7 @@ def weak_drive_grid(delta=0.0, delta_a=0.0, g=0.0, E=0.0, U=0.0, kappa=1.0,
         fine, _first_failure((7, one == 0), (8, np.isinf(two) | np.isinf(four)), (9, four == 0)),
         amplitudes_failure)
 
-    return WeakDriveGrid(*(c.where(fine, np.nan) for c in (c0e, c1g, c1e, c2g)),
+    return WeakDriveGrid(*(c.or_nan(fine) for c in (c0e, c1g, c1e, c2g)),
                          np.where(n_a_failure == 0, n_a, np.nan),
                          np.where(g2_failure == 0, g2, np.nan),
                          amplitudes_failure, n_a_failure, g2_failure)

@@ -169,7 +169,7 @@ def _analytic(args):
     cutoff or residual of its own."""
     def evaluate(fields: dict) -> tuple:
         grid = weak_drive_grid(**fields)
-        n_a = grid.n_a.copy()
+        n_a = grid.n_a
         failure = [None] * n_a.size
         for i in np.flatnonzero(grid.n_a_failure | grid.g2_failure).tolist():
             exc = failure_error(int(grid.n_a_failure[i] or grid.g2_failure[i]))
