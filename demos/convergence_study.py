@@ -7,8 +7,7 @@ ladder has to be much taller before the observables settle.
 
 import numpy as np
 
-from qdblockade.fock_algebra import HilbertSpace
-from qdblockade.model import ModelParams
+from qdblockade.model import HilbertSpace, ModelParams
 from qdblockade.steady_state import converged_solve, solve_steady_state
 
 weak = ModelParams(delta=-20.0, delta_a=-20.0, g=20.0, E=0.1, U=0.0005)

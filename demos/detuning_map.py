@@ -8,8 +8,7 @@ picture where it matters.
 import numpy as np
 
 from qdblockade.analytic import g2_weak_drive, weak_drive_grid
-from qdblockade.fock_algebra import HilbertSpace
-from qdblockade.model import ModelParams
+from qdblockade.model import HilbertSpace, ModelParams
 from qdblockade.steady_state import solve_steady_state
 
 G = 20.0

@@ -9,8 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from qdblockade.fock_algebra import HilbertSpace
-from qdblockade.model import ModelParams, bimode_limit, jc_limit
+from qdblockade.model import HilbertSpace, ModelParams, bimode_limit, jc_limit
 from qdblockade.steady_state import solve_steady_state
 
 space = HilbertSpace(8)

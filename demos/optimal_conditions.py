@@ -8,8 +8,7 @@ a full steady-state solve at the root.
 from dataclasses import replace
 
 from qdblockade.analytic import g2_weak_drive, ucpb_roots
-from qdblockade.fock_algebra import HilbertSpace
-from qdblockade.model import ModelParams
+from qdblockade.model import HilbertSpace, ModelParams
 from qdblockade.steady_state import solve_steady_state
 
 space = HilbertSpace(8)

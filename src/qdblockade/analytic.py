@@ -34,7 +34,6 @@ __all__ = [
     "amplitudes_linear_solve",
     "cpb_partner_detuning",
     "failure_error",
-    "g2_cpb_min",
     "g2_weak_drive",
     "mean_photon_weak_drive",
     "ucpb_roots",
@@ -336,21 +335,6 @@ def mean_photon_weak_drive(params: ModelParams) -> float:
     grid = _closed_form_at(params)
     _raise_first(grid.n_a_failure)
     return float(grid.n_a)
-
-
-def g2_cpb_min(params: ModelParams) -> float:
-    """Order-of-magnitude depth estimate on the CPB hyperbola.
-
-    (gamma^2/g^2)(1 + gamma^2 U^2 / E^4): strong coupling deepens the trough,
-    the two-photon drive lifts it once U ~ E^2/gamma.
-    """
-    if params.g <= 0:
-        raise ValueError("CPB depth estimate needs g > 0")
-    if params.E <= 0:
-        raise ValueError("CPB depth estimate needs E > 0")
-    r = params.gamma / params.g
-    lift = params.gamma * params.U / (params.E * params.E)
-    return r * r * (1.0 + lift * lift)
 
 
 def cpb_partner_detuning(known_detuning: float, g: float) -> float:

@@ -15,8 +15,7 @@ import numpy as np
 
 from .analytic import failure_error, ucpb_roots, weak_drive_grid
 from .errors import BlockadeError, CutoffConvergenceError, UndefinedCorrelationError
-from .fock_algebra import HilbertSpace
-from .model import ModelParams, bimode_limit, jc_limit
+from .model import HilbertSpace, ModelParams, bimode_limit, jc_limit
 from .steady_state import MAX_CUTOFF, SteadyStateResult, converged_solve, solve_steady_state
 
 __all__ = ["main"]
@@ -89,17 +88,6 @@ def _load_config(path: str) -> dict:
             except ValueError:
                 raise _UsageError(f"{path}:{lineno}: bad value for {key!r}: {value.strip()!r}")
     return out
-
-
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    xf = float(x)
-    if math.isnan(xf):
-        return "nan"
-    return f"{xf:.8e}"
 
 
 def _emit(lines: list[str], out_path: str | None) -> int:
@@ -240,15 +228,19 @@ def cmd_optimum(args) -> int:
     name, start, stop, steps = _parse_axis(args.axis)
     if name not in ("delta", "delta_a"):
         raise _UsageError("optimum searches a detuning: axis must be delta or delta_a")
-    roots = ucpb_roots(params, name, (start, stop), grid_step=(stop - start) / (steps - 1))
+    try:
+        roots = ucpb_roots(params, name, (start, stop), grid_step=(stop - start) / (steps - 1))
+    except BlockadeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     lines = ["kind,variable,value,c2g_residual,g2_weak_drive"]
     if not roots:
-        lines.append(f"# no blockade roots found in [{_fmt(start)}, {_fmt(stop)}]")
+        lines.append("# no blockade roots found in [%.8e, %.8e]" % (start, stop))
     # every root lies on the searched axis; g2 is nan where it fails
     at_roots = weak_drive_grid(**{**vars(params), name: [r.value for r in roots]})
     for root, g2 in zip(roots, at_roots.g2.tolist()):
-        lines.append(",".join([root.kind, root.variable, _fmt(root.value),
-                               _fmt(root.residual), _fmt(g2)]))
+        lines.append("%s,%s,%.8e,%.8e,%.8e" % (root.kind, root.variable, root.value,
+                                              root.residual, g2))
     return _emit(lines, args.out)
 
 
@@ -264,8 +256,8 @@ def cmd_convergence(args) -> int:
         failed = exc
     lines = ["cutoff,g2_numeric,n_a_numeric,residual"]
     for res in history:
-        lines.append(",".join(_fmt(c) for c in
-                              [res.cutoff_used, res.g2_zero, res.n_a, res.residual]))
+        lines.append("%d,%.8e,%.8e,%.8e" % (res.cutoff_used, res.g2_zero, res.n_a,
+                                            res.residual))
     code = _emit(lines, args.out)
     if code or failed is None:
         return code
@@ -330,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         if known.config is not None:
             try:
                 defaults = _load_config(known.config)
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 print(f"error: cannot read config {known.config!r}: {exc}", file=sys.stderr)
                 return 2
             for p in subs.values():

@@ -5,10 +5,6 @@ class BlockadeError(Exception):
     """Base class for structured algebra/solver failures."""
 
 
-class DimensionMismatchError(BlockadeError):
-    """Operands live on incompatible Hilbert spaces."""
-
-
 class SingularSystemError(BlockadeError):
     """A linear system was singular or too ill-conditioned to trust."""
 

@@ -15,8 +15,16 @@ absorbed into the field quadratures.  Dissipation enters as
 
 i.e. plain photon decay at rate kappa and dot decay at rate gamma.
 
-Superoperators use the column-stacking convention: vec() stacks columns, so
-left multiplication is I (x) H and right multiplication is H^T (x) I.
+The composite basis ordering is fixed package-wide and dot-major,
+
+    index(qd, n) = qd * (N + 1) + n,
+
+with qd = 0 for the dot ground state |g>, qd = 1 for the excited state |e>,
+and n = 0..N the Fock level of the cavity mode truncated at cutoff N.
+
+Superoperators use the column-stacking convention: vec(rho) stacks the
+columns of rho, so left multiplication is I (x) H and right multiplication is
+H^T (x) I.
 """
 
 from __future__ import annotations
@@ -29,22 +37,39 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fock_algebra import HilbertSpace, annihilation_op, qd_lowering_op
-
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = [
+    "HilbertSpace",
     "ModelParams",
-    "PumpParams",
     "bimode_limit",
     "build_liouvillian",
-    "effective_gain",
     "jc_limit",
-    "trace_vector",
-    "unvec",
-    "vec",
 ]
+
+
+@dataclass(frozen=True)
+class HilbertSpace:
+    """Two-level dot tensored with a Fock space truncated at ``photon_cutoff``.
+
+    The cutoff must keep at least the two-photon states (N >= 2): the
+    blockade observables and the weak-drive truncation live there.
+    """
+
+    photon_cutoff: int
+
+    def __post_init__(self) -> None:
+        if self.photon_cutoff < 2:
+            raise ValueError(f"photon_cutoff must be >= 2, got {self.photon_cutoff}")
+
+    @property
+    def fock_dim(self) -> int:
+        return self.photon_cutoff + 1
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.fock_dim
 
 
 @dataclass(frozen=True)
@@ -82,29 +107,6 @@ class ModelParams:
         return self.delta_a - 0.5j * self.kappa
 
 
-@dataclass(frozen=True)
-class PumpParams:
-    """Raw pump-side quantities behind the effective two-photon amplitude."""
-
-    F: float        # pump drive on the auxiliary mode
-    chi: float      # intermode nonlinear coupling
-    delta_b: float  # auxiliary-mode detuning
-    kappa_b: float  # auxiliary-mode decay rate
-
-    def __post_init__(self) -> None:
-        if self.kappa_b <= 0:
-            raise ValueError("kappa_b must be positive")
-
-
-def effective_gain(pump: PumpParams) -> float:
-    """Two-photon amplitude left after adiabatic elimination of the pumped mode.
-
-    U = F chi / sqrt(delta_b^2 + kappa_b^2 / 4); far detuning or heavy damping
-    of the auxiliary mode suppresses it monotonically.
-    """
-    return pump.F * pump.chi / math.sqrt(pump.delta_b**2 + 0.25 * pump.kappa_b**2)
-
-
 def jc_limit(params: ModelParams) -> ModelParams:
     """Same model with the two-photon drive switched off (U = 0)."""
     return dataclasses.replace(params, U=0.0)
@@ -113,35 +115,6 @@ def jc_limit(params: ModelParams) -> ModelParams:
 def bimode_limit(params: ModelParams) -> ModelParams:
     """Same model with the dot decoupled (g = 0)."""
     return dataclasses.replace(params, g=0.0)
-
-
-@lru_cache(maxsize=None)
-def _hamiltonian_parts(space: HilbertSpace) -> tuple[np.ndarray, ...]:
-    """Parameter-free operator blocks; H is a real linear combination of them."""
-    a = annihilation_op(space)
-    ad = a.conj().T
-    sm = qd_lowering_op(space)
-    sd = sm.conj().T
-    return (sd @ sm, ad @ a, sd @ a + sm @ ad, a + ad, a @ a + ad @ ad)
-
-
-def vec(rho: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(rho).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    v = np.asarray(v)
-    d = math.isqrt(v.size)
-    if d * d != v.size:
-        raise ValueError(f"vector of length {v.size} is not a stacked square matrix")
-    return v.reshape((d, d), order="F")
-
-
-def trace_vector(space: HilbertSpace) -> np.ndarray:
-    """Row vector t with t @ vec(rho) = Tr(rho)."""
-    return vec(np.eye(space.dim, dtype=complex))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -169,16 +142,21 @@ def build_liouvillian(params: ModelParams, space: HilbertSpace) -> sp.csc_array:
 @lru_cache(maxsize=None)
 def _generator_parts(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only CSC ``(indices, indptr)`` shared by every generator on ``space``,
-    and on it the real values of D[a], D[s-] and Im(-i[H_k, .]) for each block
-    H_k of :func:`_hamiltonian_parts`, one row each (4.5 MB at cutoff 40)."""
+    and on it the real values of D[a], D[s-] and Im(-i[H_k, .]) for the blocks
+    H_k = s+s-, a'a, s+a + s-a', a + a', a^2 + a'^2 that delta .. U weigh in H,
+    one row each (4.5 MB at cutoff 40)."""
     import scipy.sparse as sp
 
-    # the ladder operators and every H_k are real, so each block is too
+    # the ladders are real, so every H_k and every block is too
     eye = sp.eye_array(space.dim, format="csr")
-    ladders = [sp.csr_array(op.real) for op in (annihilation_op(space), qd_lowering_op(space))]
-    hams = [sp.csr_array(h.real) for h in _hamiltonian_parts(space)]
+    a = sp.kron(sp.eye_array(2), sp.diags_array(np.sqrt(np.arange(1.0, space.fock_dim)),
+                                                offsets=1), format="csr")
+    sm = sp.kron(sp.csr_array([[0.0, 1.0], [0.0, 0.0]]), sp.eye_array(space.fock_dim),
+                 format="csr")
+    ad, sd = a.T, sm.T
+    hams = (sd @ sm, ad @ a, sd @ a + sm @ ad, a + ad, a @ a + ad @ ad)
     blocks = [2.0 * sp.kron(o, o) - sp.kron(eye, o.T @ o) - sp.kron((o.T @ o).T, eye)
-              for o in ladders] + [sp.kron(h.T, eye) - sp.kron(eye, h) for h in hams]
+              for o in (a, sm)] + [sp.kron(h.T, eye) - sp.kron(eye, h) for h in hams]
     union = sum(abs(b) for b in blocks).tocsc()
     # b + i union has an entry wherever any block does, and b as its exact real part
     values = np.array([(b + 1j * union).tocsc().data.real for b in blocks])

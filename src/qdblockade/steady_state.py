@@ -20,19 +20,14 @@ import numpy as np
 from .errors import (
     CutoffConvergenceError,
     DegenerateSteadyStateError,
-    DimensionMismatchError,
     SingularSystemError,
     SteadyStateResidualError,
-    UndefinedCorrelationError,
 )
-from .fock_algebra import HilbertSpace
-from .model import ModelParams, build_liouvillian, trace_vector, unvec
+from .model import HilbertSpace, ModelParams, build_liouvillian
 
 __all__ = [
     "SteadyStateResult",
     "converged_solve",
-    "g2_zero_delay",
-    "mean_photon",
     "solve_steady_state",
 ]
 
@@ -55,9 +50,6 @@ class SteadyStateResult:
 
 def _statistics(rho: np.ndarray, space: HilbertSpace) -> tuple[float, float]:
     """(g2(0), n_a) from P(n); g2 is nan when n_a is below the dark floor."""
-    if np.shape(rho) != (space.dim, space.dim):
-        raise DimensionMismatchError(
-            f"state shape {np.shape(rho)} does not match space dim {space.dim}")
     # the dot-major ordering makes diag(rho) a (dot, n) array
     p = np.diagonal(rho).real.reshape(2, space.fock_dim).sum(axis=0)
     n = np.arange(space.fock_dim)
@@ -85,7 +77,7 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
     liou = build_liouvillian(params, space)
     if not np.all(np.isfinite(liou.data)):
         raise SingularSystemError("Liouvillian has non-finite entries (parameters overflow)")
-    tvec = trace_vector(space)
+    tvec = np.eye(space.dim, dtype=complex).reshape(-1)  # vec(I): the trace functional
     a = sp.vstack([sp.csr_array(tvec[np.newaxis]), liou[1:]], format="csc")
     b = np.zeros_like(tvec)
     b[0] = 1.0
@@ -122,24 +114,9 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
         if not residual <= RESIDUAL_TOL:
             raise SteadyStateResidualError(residual, RESIDUAL_TOL)
 
-    rho = unvec(x)
+    rho = x.reshape((space.dim, space.dim), order="F")  # undo the column stacking
     g2, n_a = _statistics(rho, space)
     return SteadyStateResult(rho, g2, n_a, space.photon_cutoff, residual)
-
-
-def mean_photon(rho: np.ndarray, space: HilbertSpace) -> float:
-    """Tr(rho a'a)."""
-    return _statistics(rho, space)[1]
-
-
-def g2_zero_delay(rho: np.ndarray, space: HilbertSpace) -> float:
-    """Equal-time second-order correlation Tr(rho a'a'aa) / Tr(rho a'a)^2."""
-    g2, n_a = _statistics(rho, space)
-    if math.isnan(g2):
-        raise UndefinedCorrelationError(
-            f"mean photon number {n_a:.3e} is numerically zero; g2(0) undefined"
-        )
-    return g2
 
 
 def _rel_change(old: float, new: float) -> float:

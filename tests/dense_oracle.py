@@ -13,7 +13,7 @@ from scipy import linalg as sla
 
 from qdblockade import HilbertSpace, ModelParams
 
-from fock_helpers import cavity_lowering, dot_lowering, identity
+from fock_helpers import cavity_lowering, dot_lowering, hamiltonian_parts, identity
 
 
 def dense_dissipator(op: np.ndarray) -> np.ndarray:
@@ -25,18 +25,11 @@ def dense_dissipator(op: np.ndarray) -> np.ndarray:
             - np.kron(nop.T, eye))
 
 
-def dense_hamiltonian_parts(space: HilbertSpace) -> tuple[np.ndarray, ...]:
-    """s+s-, a'a, s+a + s-a', a + a', a^2 + a'^2: the weights of delta .. U in H."""
-    a, sm = cavity_lowering(space), dot_lowering(space)
-    ad, sd = a.conj().T, sm.conj().T
-    return (sd @ sm, ad @ a, sd @ a + sm @ ad, a + ad, a @ a + ad @ ad)
-
-
 def dense_liouvillian(params: ModelParams, space: HilbertSpace) -> np.ndarray:
     """Dense generator L = -i (I (x) H - H^T (x) I) + (kappa/2) D[a] + (gamma/2) D[s-]."""
     eye = identity(space)
     commutators = [-1j * (np.kron(eye, h) - np.kron(h.T, eye))
-                   for h in dense_hamiltonian_parts(space)]
+                   for h in hamiltonian_parts(space)]
     weights = (params.delta, params.delta_a, params.g, params.E, params.U)
     liou = (0.5 * params.kappa * dense_dissipator(cavity_lowering(space))
             + 0.5 * params.gamma * dense_dissipator(dot_lowering(space)))

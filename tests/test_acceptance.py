@@ -21,8 +21,7 @@ from qdblockade.analytic import (
     mean_photon_weak_drive,
 )
 from qdblockade.errors import SingularSystemError
-from qdblockade.fock_algebra import HilbertSpace
-from qdblockade.model import ModelParams, bimode_limit, jc_limit
+from qdblockade.model import HilbertSpace, ModelParams, bimode_limit, jc_limit
 from qdblockade.steady_state import solve_steady_state
 
 SPACE = HilbertSpace(8)

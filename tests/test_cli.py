@@ -178,6 +178,14 @@ def test_missing_config_exits_2(capsys):
     assert "cannot read config" in err
 
 
+def test_undecodable_config_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"E=0.1\n\xff\xfe=1\n")
+    code, out, err = run(capsys, ["point", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read config") and err.count("\n") == 1
+
+
 def test_unknown_config_key_exits_1(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus = 3\n")
@@ -313,6 +321,15 @@ def test_optimum_empty_interval_is_not_an_error(capsys):
                                 "--U", "0", "--axis", "delta_a:0:60:241"])
     assert code == 0
     assert "# no blockade roots found" in out
+
+
+def test_optimum_on_a_lossless_cut_exits_3(capsys):
+    # kappa = gamma = 0 zeroes the weak-drive denominator deltaA' + delta' at delta = -20
+    code, out, err = run(capsys, ["optimum", "--axis", "delta:-60:60:481", "--delta-a", "20",
+                                  "--g", "20", "--E", "0.1", "--U", "0.0005", "--kappa", "0",
+                                  "--gamma", "0"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: vanishing combined denominator") and err.count("\n") == 1
 
 
 def test_gnuplot_stub(capsys, tmp_path):

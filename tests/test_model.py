@@ -2,21 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qdblockade import (
-    HilbertSpace,
-    ModelParams,
-    PumpParams,
-    bimode_limit,
-    build_liouvillian,
-    effective_gain,
-    jc_limit,
-    trace_vector,
-    unvec,
-    vec,
-)
+from qdblockade import HilbertSpace, ModelParams, bimode_limit, build_liouvillian, jc_limit
 
 from dense_oracle import dense_liouvillian
-from fock_helpers import basis_index, basis_state, hamiltonian
+from fock_helpers import basis_index, basis_state, hamiltonian, identity, unvec, vec
 
 SQRT2 = np.sqrt(2.0)
 
@@ -46,30 +35,6 @@ def test_complex_detunings():
     p = ModelParams(delta=3.0, delta_a=-2.0, kappa=4.0, gamma=2.0)
     assert p.delta_prime == 3.0 - 1.0j
     assert p.delta_a_prime == -2.0 - 2.0j
-
-
-def test_effective_gain_values():
-    assert effective_gain(PumpParams(F=1, chi=1, delta_b=0, kappa_b=2)) == 1.0
-    val = effective_gain(PumpParams(F=2, chi=0.5, delta_b=3, kappa_b=8))
-    assert abs(val - 0.2) < 1e-15
-    assert effective_gain(PumpParams(F=0, chi=5, delta_b=1, kappa_b=1)) == 0.0
-
-
-def test_effective_gain_monotonicity():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        F, chi = rng.uniform(0.1, 5, size=2)
-        db, kb = rng.uniform(0.1, 10, size=2)
-        base = effective_gain(PumpParams(F, chi, db, kb))
-        assert effective_gain(PumpParams(F * 1.5, chi, db, kb)) > base
-        assert effective_gain(PumpParams(F, chi * 1.5, db, kb)) > base
-        assert effective_gain(PumpParams(F, chi, db + 1.0, kb)) < base
-        assert effective_gain(PumpParams(F, chi, db, kb + 1.0)) < base
-
-
-def test_pump_params_validation():
-    with pytest.raises(ValueError):
-        PumpParams(F=1, chi=1, delta_b=0, kappa_b=0)
 
 
 def test_hamiltonian_diagonal_when_undriven():
@@ -144,7 +109,7 @@ def test_liouvillian_preserves_trace():
     space = HilbertSpace(4)
     p = ModelParams(delta=-20, delta_a=-20, g=20, E=0.1, U=0.0005)
     liou = build_liouvillian(p, space)
-    tvec = trace_vector(space)
+    tvec = vec(identity(space))
     # the trace functional is a left null vector of the generator
     assert np.max(np.abs(tvec @ liou)) < 1e-10
     rng = np.random.default_rng(31)
@@ -167,7 +132,7 @@ def test_sparse_generator_equals_dense_kron_sum():
             for q in (p, jc_limit(p), bimode_limit(p), ModelParams()):
                 liou = build_liouvillian(q, space)
                 assert sp.issparse(liou) and liou.format == "csc"
-                assert np.max(np.abs(liou.toarray() - dense_liouvillian(q, space))) <= 1e-14
+                assert np.array_equal(liou.toarray(), dense_liouvillian(q, space))
 
 
 def test_dark_state_is_stationary_without_drives():

@@ -8,24 +8,25 @@ from qdblockade import (
     BlockadeError,
     CutoffConvergenceError,
     DegenerateSteadyStateError,
-    DimensionMismatchError,
     HilbertSpace,
     ModelParams,
     SingularSystemError,
-    UndefinedCorrelationError,
     converged_solve,
     g2_weak_drive,
-    g2_zero_delay,
-    mean_photon,
     mean_photon_weak_drive,
     solve_steady_state,
     steady_state,
-    unvec,
-    validate_density_matrix,
 )
 
 from dense_oracle import dense_steady_state
-from fock_helpers import basis_state, cavity_lowering, creation_op, number_op
+from fock_helpers import (
+    basis_state,
+    cavity_lowering,
+    creation_op,
+    number_op,
+    unvec,
+    validate_density_matrix,
+)
 
 REF = ModelParams(delta=-20.0, delta_a=-20.0, g=20.0, E=0.1, U=0.0005)
 
@@ -48,8 +49,6 @@ def test_dark_steady_state():
     assert res.n_a < 1e-14
     assert math.isnan(res.g2_zero)  # undefined, flagged rather than crashed
     assert res.residual < 1e-9
-    with pytest.raises(UndefinedCorrelationError):
-        g2_zero_delay(res.rho, space)
 
 
 def test_driven_empty_cavity_is_coherent():
@@ -70,10 +69,8 @@ def test_g2_of_fock_states():
     space = HilbertSpace(6)
     one = outer(basis_state(space, 0, 1))
     two = outer(basis_state(space, 0, 2))
-    assert g2_zero_delay(one, space) == pytest.approx(0.0, abs=1e-12)
-    assert g2_zero_delay(two, space) == pytest.approx(0.5, rel=1e-12)
-    assert mean_photon(one, space) == pytest.approx(1.0, rel=1e-12)
-    assert mean_photon(two, space) == pytest.approx(2.0, rel=1e-12)
+    assert steady_state._statistics(one, space) == pytest.approx((0.0, 1.0), abs=1e-12)
+    assert steady_state._statistics(two, space) == pytest.approx((0.5, 2.0), rel=1e-12)
 
 
 def test_g2_of_truncated_coherent_state():
@@ -82,16 +79,9 @@ def test_g2_of_truncated_coherent_state():
     state = np.kron(np.array([1.0, 0.0]), fock)
     state /= np.linalg.norm(state)
     rho = outer(state)
-    assert abs(g2_zero_delay(rho, space) - 1.0) < 1e-6
-    assert mean_photon(rho, space) == pytest.approx(0.04, rel=1e-6)
-
-
-def test_observable_shape_checks():
-    space = HilbertSpace(4)
-    with pytest.raises(DimensionMismatchError):
-        mean_photon(np.eye(6) / 6.0, space)
-    with pytest.raises(DimensionMismatchError):
-        g2_zero_delay(np.eye(6) / 6.0, space)
+    g2, n_a = steady_state._statistics(rho, space)
+    assert abs(g2 - 1.0) < 1e-6
+    assert n_a == pytest.approx(0.04, rel=1e-6)
 
 
 @pytest.mark.parametrize("cutoff", [2, 6, 12])
@@ -107,8 +97,7 @@ def test_statistics_equal_dense_traces_on_random_states(cutoff):
         rho /= np.trace(rho)
         n_a = np.trace(rho @ number_op(space)).real
         g2 = np.trace(rho @ pair_op).real / n_a**2
-        assert mean_photon(rho, space) == pytest.approx(n_a, rel=1e-12)
-        assert g2_zero_delay(rho, space) == pytest.approx(g2, rel=1e-12)
+        assert steady_state._statistics(rho, space) == pytest.approx((g2, n_a), rel=1e-12)
     # a solved state goes through the same statistics
     res = solve_steady_state(REF, space)
     n_a = np.trace(res.rho @ number_op(space)).real
@@ -155,9 +144,9 @@ def test_sparse_solve_matches_dense_oracle(cutoff):
                         g=rng.uniform(0, 20), E=rng.uniform(0, 0.2),
                         U=rng.uniform(0, 0.001), kappa=rng.uniform(0.5, 2.0))
         res = solve_steady_state(p, space)
-        rho = unvec(dense_steady_state(p, space))
-        assert res.n_a == pytest.approx(mean_photon(rho, space), rel=1e-10)
-        assert res.g2_zero == pytest.approx(g2_zero_delay(rho, space), rel=1e-10)
+        g2, n_a = steady_state._statistics(unvec(dense_steady_state(p, space)), space)
+        assert res.n_a == pytest.approx(n_a, rel=1e-10)
+        assert res.g2_zero == pytest.approx(g2, rel=1e-10)
 
 
 def test_weak_drive_g2_agreement_on_reference_cuts():
