@@ -167,14 +167,12 @@ def test_cpb_depth_estimate_order_of_magnitude_on_locus():
     # the true locus minimum by a model-dependent factor near 7 at weak U,
     # shrinking toward 5 as U grows; keep it inside an order-of-magnitude band
     # rather than pretending it is sharp
+    t = np.arange(2.0, 60.0 + 1e-9, 0.25)
+    d = np.concatenate([t, -t])
     for U in (0.0, 0.005, 0.01, 0.02):
-        best = np.inf
-        for sign in (1.0, -1.0):
-            for t in np.arange(2.0, 60.0 + 1e-9, 0.25):
-                d = sign * t
-                p = ModelParams(delta=d, delta_a=400.0 / d, g=20.0, E=0.1, U=U)
-                best = min(best, g2_weak_drive(p))
-        ratio = best / ((1.0 / 20.0) ** 2 * (1.0 + (U / 0.1**2) ** 2))
+        grid = weak_drive_grid(delta=d, delta_a=400.0 / d, g=20.0, E=0.1, U=U)
+        assert not grid.g2_failure.any()
+        ratio = grid.g2.min() / ((1.0 / 20.0) ** 2 * (1.0 + (U / 0.1**2) ** 2))
         assert 3.0 < ratio < 10.0
 
 
