@@ -310,7 +310,9 @@ def weak_drive_grid(delta=0.0, delta_a=0.0, g=0.0, E=0.0, U=0.0, kappa=1.0,
 
 
 def _closed_form_at(params: ModelParams) -> WeakDriveGrid:
-    grid = weak_drive_grid(**vars(params))
+    # shape (1,), not 0-d: NumPy's scalar loops round differently from its
+    # array loops, and one point must give the bits of its cell in a grid
+    grid = weak_drive_grid(**{k: [v] for k, v in vars(params).items()})
     _raise_first(grid.amplitudes_failure)
     _warn_if_hierarchy_broken(grid.c1g, grid.c2g)
     return grid
@@ -319,7 +321,7 @@ def _closed_form_at(params: ModelParams) -> WeakDriveGrid:
 def amplitudes_closed_form(params: ModelParams) -> AmplitudeSet:
     """Closed-form solution of the same truncated system (see :func:`weak_drive_grid`)."""
     grid = _closed_form_at(params)
-    return AmplitudeSet(1.0 + 0.0j, *(complex(c) for c in
+    return AmplitudeSet(1.0 + 0.0j, *(c.item() for c in
                                       (grid.c0e, grid.c1g, grid.c1e, grid.c2g)))
 
 
@@ -327,14 +329,14 @@ def g2_weak_drive(params: ModelParams) -> float:
     """Equal-time second-order correlation 2|c2g|^2 / |c1g|^4 of the expansion."""
     grid = _closed_form_at(params)
     _raise_first(grid.g2_failure)
-    return float(grid.g2)
+    return grid.g2.item()
 
 
 def mean_photon_weak_drive(params: ModelParams) -> float:
     """Mean photon number |c1g|^2 of the expansion; independent of U by construction."""
     grid = _closed_form_at(params)
     _raise_first(grid.n_a_failure)
-    return float(grid.n_a)
+    return grid.n_a.item()
 
 
 def cpb_partner_detuning(known_detuning: float, g: float) -> float:

@@ -10,7 +10,7 @@ class SingularSystemError(BlockadeError):
 
 
 class DegenerateSteadyStateError(BlockadeError):
-    """The Liouvillian null space has more than one dimension."""
+    """The Liouvillian has no unique trace-one steady state."""
 
 
 class SteadyStateResidualError(BlockadeError):

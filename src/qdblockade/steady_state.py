@@ -4,7 +4,9 @@ Solves L vec(rho) = 0 with the trace pinned to one by replacing row 0 of the
 sparse Liouvillian with the trace functional and factoring it with SuperLU.
 That replaced matrix has one sparsity pattern per cutoff, so its
 fill-reducing ordering and its permuted CSC pattern are computed once per
-cutoff and cached; each solve only fills in the values.
+cutoff and cached; each solve only fills in the values.  A failed solve is
+raised, never retried on a densified generator, so memory stays bounded by
+the sparse factors at every cutoff.
 The solved rho is used as-is: no Hermitization or eigenvalue clamping, so the
 validity checks in tests measure the solver rather than a cosmetic cleanup.
 
@@ -106,7 +108,7 @@ def _ordered_system(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.nda
     return out
 
 
-# overflow leaves inf or nan, which the finiteness checks and residual gates refuse
+# overflow leaves inf or nan, which the finiteness check refuses
 @np.errstate(over="ignore", invalid="ignore")
 def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateResult:
     """Steady state via trace-row replacement on the sparse Liouvillian.
@@ -114,11 +116,15 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
     The replaced system is factored by SuperLU on the cached, symmetrically
     permuted pattern of ``_ordered_system`` (minimum-degree order of A + A^T,
     diagonal pivots preferred), and one step of iterative refinement keeps
-    the weakly occupied sectors accurate.  If it is singular or the bound
-    ||L vec(rho)||_inf < 1e-9 on the unpermuted L fails, an SVD null-space
-    solve of the densified L is tried before giving up.  A null space of
-    dimension > 1 raises DegenerateSteadyStateError; an overflowing generator
-    or an SVD that does not converge raises SingularSystemError.
+    the weakly occupied sectors accurate.  The solution must meet
+    ||L vec(rho)||_inf <= 1e-9 on the unpermuted L.
+
+    Failures are read off that one path.  A is exactly singular when L has
+    no unique trace-one null vector (row 0 of L is minus the sum of its other
+    diagonal rows, since vec(I)' L = 0), so a singular factorization raises
+    DegenerateSteadyStateError.  An overflowing generator or a non-finite
+    solution raises SingularSystemError, and a finite miss of the residual
+    bound raises SteadyStateResidualError.
     """
     import scipy.sparse as sp  # deferred: the weak-drive paths never load SciPy
     from scipy.sparse.linalg import splu
@@ -132,39 +138,21 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
     b = np.zeros(liou.shape[0], dtype=complex)
     b[perm[0]] = 1.0  # the trace row, where P puts it
 
-    residual = math.inf
     try:
         lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.01,
                   options=dict(SymmetricMode=True))
     except RuntimeError:  # SuperLU: the replaced system is exactly singular
-        pass
-    else:
-        y = lu.solve(b)
-        y += lu.solve(b - a @ y)
-        x = y[perm]  # undo P
-        if np.all(np.isfinite(x)):
-            residual = float(np.max(np.abs(liou @ x)))
-
-    # written so that a nan residual (overflow in L @ x) fails the gate
-    if not residual <= RESIDUAL_TOL:
-        # fall back to the null space; also the place to detect degeneracy
-        try:
-            _, s, vh = np.linalg.svd(liou.toarray())
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"SVD fallback failed: {exc}") from None
-        if s[-2] <= 1e-12 * max(s[0], 1.0):
-            raise DegenerateSteadyStateError(
-                "Liouvillian null space is multi-dimensional "
-                f"(second singular value {s[-2]:.3e}); no unique steady state"
-            )
-        x = vh[-1].conj()
-        tr = np.eye(space.dim, dtype=complex).reshape(-1) @ x  # vec(I)' x
-        if abs(tr) < 1e-12:
-            raise DegenerateSteadyStateError("null vector is traceless; no physical steady state")
-        x = x / tr
-        residual = float(np.max(np.abs(liou @ x)))
-        if not residual <= RESIDUAL_TOL:
-            raise SteadyStateResidualError(residual, RESIDUAL_TOL)
+        raise DegenerateSteadyStateError(
+            "trace-replaced Liouvillian is singular; no unique trace-one steady state"
+        ) from None
+    y = lu.solve(b)
+    y += lu.solve(b - a @ y)
+    x = y[perm]  # undo P
+    residual = float(np.max(np.abs(liou @ x)))
+    if not (math.isfinite(residual) and np.all(np.isfinite(x))):
+        raise SingularSystemError("steady state overflows float64")
+    if residual > RESIDUAL_TOL:
+        raise SteadyStateResidualError(residual, RESIDUAL_TOL)
 
     rho = x.reshape((space.dim, space.dim), order="F")  # undo the column stacking
     g2, n_a = _statistics(rho, space)

@@ -158,7 +158,8 @@ def test_g2_coherent_drive_is_poissonian():
 def test_g2_undefined_when_one_photon_amplitude_vanishes():
     # two-photon drive alone populates pairs but leaves c1g = 0
     p = ModelParams(delta=-20.0, delta_a=-20.0, g=20.0, E=0.0, U=0.0005)
-    with pytest.raises(UndefinedCorrelationError):
+    # c1g = 0 < |c2g| also breaks the amplitude hierarchy, which is warned first
+    with pytest.raises(UndefinedCorrelationError), pytest.warns(RuntimeWarning, match="hierarchy"):
         g2_weak_drive(p)
 
 
@@ -352,6 +353,23 @@ def test_grid_matches_scalar_oracle(cells):
             for w, a in pairs:
                 assert _within_4_ulp(w, a), (cells[i], fn.__name__, w, a)
                 assert "%.8e" % w == "%.8e" % a, (cells[i], fn.__name__, w, a)
+
+
+def test_one_point_entry_points_equal_the_grid_bit_for_bit():
+    # the reference delta cuts: a point read alone gives the bits of its cell
+    deltas = np.linspace(-60.0, 60.0, 241)
+    for delta_a in (-20.0, 20.0, 30.0):
+        grid = weak_drive_grid(delta=deltas, delta_a=delta_a, g=20.0, E=0.1, U=0.0005)
+        points = [ModelParams(delta=d, delta_a=delta_a, g=20.0, E=0.1, U=0.0005)
+                  for d in deltas.tolist()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the hierarchy warning
+            amplitudes = [amplitudes_closed_form(p) for p in points]
+            assert np.array_equal([g2_weak_drive(p) for p in points], grid.g2), delta_a
+            assert np.array_equal([mean_photon_weak_drive(p) for p in points], grid.n_a), delta_a
+        for name in ("c0e", "c1g", "c1e", "c2g"):
+            assert np.array_equal([getattr(a, name) for a in amplitudes],
+                                  getattr(grid, name)), (delta_a, name)
 
 
 def test_scalar_entry_points_raise_what_the_oracle_raises():

@@ -409,6 +409,18 @@ def test_point_at_top_cutoff_stays_small():
     assert peak_bytes < 200e6
 
 
+def test_degenerate_point_at_top_cutoff_stays_small():
+    # a lossless point has no unique steady state; refusing it must not
+    # densify the 6724 x 6724 generator (723 MB dense, more than 2 GB for an SVD)
+    proc, peak_bytes = run_measuring_peak(["point", "--kappa", "0", "--gamma", "0",
+                                           "--delta", "1", "--cutoff", "40",
+                                           "--engines", "numeric"], timeout=300)
+    assert proc.returncode == 3
+    assert "no unique trace-one steady state" in proc.stderr
+    # measured VmHWM 83,908 kB
+    assert peak_bytes < 200e6
+
+
 def test_numeric_map_does_not_depend_on_blas_threads():
     # identical invocations must print identical cells under any BLAS thread
     # count; only the rounding-level residual may differ

@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qdblockade import (
-    BlockadeError,
     CutoffConvergenceError,
     DegenerateSteadyStateError,
     HilbertSpace,
@@ -104,19 +107,46 @@ def test_statistics_equal_dense_traces_on_random_states(cutoff):
     assert res.g2_zero == pytest.approx(np.trace(res.rho @ pair_op).real / n_a**2, rel=1e-12)
 
 
+# an undamped cavity decoupled from the dot (g = kappa = 0): the factorization
+# goes through, but its solution misses the gate at 2.4e-7
+GATE_MISS = ModelParams(delta=8.484416434305949, delta_a=-4.332328215628659, g=0.0, E=0.0,
+                        U=7.170094177168514e-08, kappa=0.0, gamma=1.9228401943813833)
+
+
 def test_degenerate_generator_is_refused():
-    # no decay and no drive: every dot/photon population is stationary
-    p = ModelParams(delta=1.0, delta_a=2.0, g=0.0, kappa=0.0, gamma=0.0)
-    with pytest.raises(DegenerateSteadyStateError):
-        solve_steady_state(p, HilbertSpace(3))
+    for p, cutoff in [
+        # no decay and no drive: every dot/photon population is stationary
+        (ModelParams(delta=1.0, delta_a=2.0, g=0.0, kappa=0.0, gamma=0.0), 3),
+        # driven but lossless: nothing damps the coherent evolution
+        (ModelParams(g=20.0, E=0.1, kappa=0.0, gamma=0.0), 4),
+        (ModelParams(g=20.0, E=0.1, kappa=0.0, gamma=0.0), 10),
+        # an undriven, undamped dot decoupled from the cavity keeps either state
+        (ModelParams(g=0.0, E=0.0, kappa=1.0, gamma=0.0), 6),
+    ]:
+        with pytest.raises(DegenerateSteadyStateError):
+            solve_steady_state(p, HilbertSpace(cutoff))
+    # a finite miss of the residual gate is reported as one, under any BLAS
+    # thread count (set in a child, before NumPy loads its BLAS)
+    src = str(Path(steady_state.__file__).resolve().parents[1])
+    script = "\n".join([
+        "from qdblockade import HilbertSpace, ModelParams, SteadyStateResidualError,"
+        " solve_steady_state",
+        "try: solve_steady_state(" + repr(GATE_MISS) + ", HilbertSpace(12))",
+        "except SteadyStateResidualError as exc: print(exc.residual)"])
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env=dict(os.environ, PYTHONPATH=src,
+                                                    OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        assert 1e-9 < float(proc.stdout) < 1e-6, threads
 
 
 def test_overflowing_drive_is_refused():
     # E = 1e308 overflows the generator itself; at E = 5e307 L is finite but
-    # L @ x overflows, and that nan residual must not pass the 1e-9 gate
+    # the solution overflows, and that must not pass the 1e-9 gate
     with pytest.raises(SingularSystemError, match="non-finite"):
         solve_steady_state(ModelParams(E=1e308), HilbertSpace(4))
-    with pytest.raises(BlockadeError):
+    with pytest.raises(SingularSystemError, match="overflows float64"):
         solve_steady_state(ModelParams(E=5e307), HilbertSpace(4))
 
 
