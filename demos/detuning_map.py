@@ -7,7 +7,7 @@ picture where it matters.
 
 import numpy as np
 
-from qdblockade.analytic import g2_weak_drive, weak_drive_grid
+from qdblockade.analytic import weak_drive_grid
 from qdblockade.model import HilbertSpace, ModelParams
 from qdblockade.steady_state import solve_steady_state
 
@@ -34,11 +34,13 @@ for name, block in quads.items():
 
 print("\nsteady-state spot checks (cutoff 8):")
 space = HilbertSpace(8)
-for d, da in ((-20.0, -20.0), (20.0, 20.0), (-40.0, 20.0), (28.0, -32.0)):
-    p = ModelParams(delta=d, delta_a=da, g=G, E=E, U=U)
-    num = solve_steady_state(p, space).g2_zero
+spots = [(-20.0, -20.0), (20.0, 20.0), (-40.0, 20.0), (28.0, -32.0)]
+theory = weak_drive_grid(delta=[d for d, _ in spots], delta_a=[da for _, da in spots],
+                         g=G, E=E, U=U).g2
+for (d, da), predicted in zip(spots, theory.tolist()):
+    num = solve_steady_state(ModelParams(delta=d, delta_a=da, g=G, E=E, U=U), space).g2_zero
     print(f"  delta={d:+6.1f} delta_a={da:+6.1f}   numeric {num:.3e}   "
-          f"theory {g2_weak_drive(p):.3e}")
+          f"theory {predicted:.3e}")
 
 try:
     import matplotlib

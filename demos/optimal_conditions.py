@@ -7,7 +7,7 @@ a full steady-state solve at the root.
 
 from dataclasses import replace
 
-from qdblockade.analytic import g2_weak_drive, ucpb_roots
+from qdblockade.analytic import ucpb_roots, weak_drive_grid
 from qdblockade.model import HilbertSpace, ModelParams
 from qdblockade.steady_state import solve_steady_state
 
@@ -34,10 +34,9 @@ for title, params, free, interval in cases:
         print("  no blockade roots in the interval")
         print()
         continue
-    for root in roots:
-        p = replace(params, **{free: root.value})
-        predicted = g2_weak_drive(p)
-        numeric = solve_steady_state(p, space).g2_zero
+    at_roots = weak_drive_grid(**{**vars(params), free: [r.value for r in roots]})
+    for root, predicted in zip(roots, at_roots.g2.tolist()):
+        numeric = solve_steady_state(replace(params, **{free: root.value}), space).g2_zero
         print(f"  {root.kind:4s} {free} = {root.value:+8.3f}   "
               f"|c2g| residual = {root.residual:.2e}   "
               f"predicted g2 = {predicted:.3e}   numeric g2 = {numeric:.3e}")

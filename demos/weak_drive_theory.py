@@ -1,46 +1,32 @@
 """Tour of the weak-drive amplitude theory: hierarchy, closed forms, roots."""
 
-from dataclasses import replace
-
 import numpy as np
 
-from qdblockade.analytic import (
-    amplitudes_closed_form,
-    amplitudes_linear_solve,
-    cpb_partner_detuning,
-    g2_weak_drive,
-    mean_photon_weak_drive,
-    ucpb_roots,
-    weak_drive_grid,
-)
+from qdblockade.analytic import cpb_partner_detuning, ucpb_roots, weak_drive_grid
 from qdblockade.model import ModelParams
 
 # reference operating point: both detunings on the hyperbola delta*delta_a = g^2
 ref = ModelParams(delta=-20.0, delta_a=-20.0, g=20.0, E=0.1, U=0.0005)
 
-amps = amplitudes_closed_form(ref)
-solved = amplitudes_linear_solve(ref)
+amps = weak_drive_grid(**vars(ref))
+c1g, c2g = complex(amps.c1g), complex(amps.c2g)
 print("amplitudes at delta = delta_a = -20 (closed form):")
-print(f"  c0e = {amps.c0e:.6e}")
-print(f"  c1g = {amps.c1g:.6e}")
-print(f"  c1e = {amps.c1e:.6e}")
-print(f"  c2g = {amps.c2g:.6e}")
-worst = max(abs(amps.c0e - solved.c0e), abs(amps.c1g - solved.c1g),
-            abs(amps.c1e - solved.c1e), abs(amps.c2g - solved.c2g))
-print(f"closed form vs 4x4 linear solve: worst |diff| = {worst:.2e}")
+for name in ("c0e", "c1g", "c1e", "c2g"):
+    print(f"  {name} = {complex(getattr(amps, name)):.6e}")
 
 # the hierarchy |c2g| << |c1g| << 1 is what lets two photon states tell the story
-print(f"hierarchy: |c2g|/|c1g| = {abs(amps.c2g)/abs(amps.c1g):.3e}, "
-      f"|c1g| = {abs(amps.c1g):.3e}")
-print(f"predicted g2(0) = {g2_weak_drive(ref):.4e}, "
-      f"n_a = {mean_photon_weak_drive(ref):.4e}")
+print(f"hierarchy: |c2g|/|c1g| = {abs(c2g)/abs(c1g):.3e}, "
+      f"|c1g| = {abs(c1g):.3e}")
+print(f"predicted g2(0) = {float(amps.g2):.4e}, "
+      f"n_a = {float(amps.n_a):.4e}")
 
 # blockade conditions on the delta_a = 20 cut: one root from the hyperbola,
 # one from destructive interference of the paths into |2,g>
 print("\nroots on the delta_a = 20 cut, delta free in [-60, 60]:")
 cut = ModelParams(delta=0.0, delta_a=20.0, g=20.0, E=0.1, U=0.0005)
-for root in ucpb_roots(cut, free="delta", interval=(-60.0, 60.0)):
-    predicted = g2_weak_drive(replace(cut, delta=root.value))
+roots = ucpb_roots(cut, free="delta", interval=(-60.0, 60.0))
+at_roots = weak_drive_grid(**{**vars(cut), "delta": [r.value for r in roots]})
+for root, predicted in zip(roots, at_roots.g2.tolist()):
     print(f"  {root.kind:4s} at delta = {root.value:+8.3f}   "
           f"|c2g| residual = {root.residual:.2e}   "
           f"predicted g2 = {predicted:.3e}")

@@ -1,14 +1,10 @@
 """Photon-blockade simulator for a quantum dot in a parametrically driven nanocavity."""
 
 from .analytic import (
-    AmplitudeSet,
     ConditionRoot,
-    amplitudes_closed_form,
-    amplitudes_linear_solve,
     cpb_partner_detuning,
-    g2_weak_drive,
-    mean_photon_weak_drive,
     ucpb_roots,
+    weak_drive_grid,
 )
 from .errors import (
     BlockadeError,

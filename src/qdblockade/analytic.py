@@ -15,10 +15,7 @@ ladder E^2 path and the direct two-photon U path.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,23 +24,21 @@ from .errors import BlockadeError, SingularSystemError, UndefinedCorrelationErro
 from .model import ModelParams
 
 __all__ = [
-    "AmplitudeSet",
     "ConditionRoot",
     "WeakDriveGrid",
-    "amplitudes_closed_form",
-    "amplitudes_linear_solve",
     "cpb_partner_detuning",
     "failure_error",
-    "g2_weak_drive",
-    "mean_photon_weak_drive",
     "ucpb_roots",
     "weak_drive_grid",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 
-# condition numbers above this make the 4x4 solve meaningless in float64
-_COND_LIMIT = 1e12
+# a UCPB minimum of |c2g| must lie this far below its background, relatively:
+# where |c2g| does not depend on the scanned detuning (g = 0 along delta),
+# rounding alone makes dips of ~1e-14, while real interference nulls are
+# >= 2e-5 deep on the paper's cuts
+_MIN_DIP = 1e-9
 
 # the failures of weak_drive_grid, indexed by their code (0: none), in the
 # order its checks are made: the amplitudes', then n_a's, then g2's
@@ -59,17 +54,6 @@ _FAILURES = (
     (SingularSystemError, "weak-drive g2(0) overflows float64"),
     (UndefinedCorrelationError, "|c1g|^4 underflows float64 (is E tiny?)"),
 )
-
-
-@dataclass(frozen=True)
-class AmplitudeSet:
-    """Stationary amplitudes of the truncated weak-drive expansion (c0g = 1)."""
-
-    c0g: complex
-    c0e: complex
-    c1g: complex
-    c1e: complex
-    c2g: complex
 
 
 @dataclass(frozen=True)
@@ -93,9 +77,10 @@ class WeakDriveGrid:
 
     ``g2`` is 2 |c2g|^2 / |c1g|^4 and ``n_a`` is |c1g|^2.  Each ``*_failure``
     array is 0 where that quantity is defined and otherwise the code of the
-    first check it failed, in the order the scalar entry points make them
-    (:func:`failure_error` gives the exception); a failed cell holds nan.
-    ``n_a_failure`` and ``g2_failure`` include the amplitudes' failures.
+    first check it failed (:func:`failure_error` gives the exception); a
+    failed cell holds nan.  ``n_a_failure`` and ``g2_failure`` include the
+    amplitudes' failures.  The hierarchy |c2g| <= |c1g| <= 1 that makes the
+    truncation valid is not checked: callers read it off ``c1g`` and ``c2g``.
     """
 
     c0e: np.ndarray
@@ -119,61 +104,6 @@ def _raise_first(failure: np.ndarray) -> None:
     bad = np.flatnonzero(failure)
     if bad.size:
         raise failure_error(int(failure.flat[bad[0]]))
-
-
-def _warn_if_hierarchy_broken(c1g, c2g) -> None:
-    # amplitude hierarchy |c2g| <= |c1g| <= 1 is what makes the truncation valid
-    with np.errstate(over="ignore"):
-        one, two = np.abs(c1g), np.abs(c2g)
-    if two > one or one > 1.0:
-        # report the first caller outside this module, whichever entry point it used
-        frame, level = sys._getframe(), 1
-        while frame is not None and frame.f_code.co_filename == __file__:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            "weak-drive amplitude hierarchy |c2g| <= |c1g| <= 1 violated; "
-            "the truncated expansion is outside its domain here",
-            RuntimeWarning,
-            stacklevel=level,
-        )
-
-
-def _system(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    dp = params.delta_prime
-    dap = params.delta_a_prime
-    g, E, U = params.g, params.E, params.U
-    a = np.array([
-        [dp, g, 0.0, 0.0],
-        [g, dap, 0.0, 0.0],
-        [E, 0.0, dap + dp, _SQRT2 * g],
-        [0.0, _SQRT2 * E, _SQRT2 * g, 2.0 * dap],
-    ], dtype=complex)
-    b = np.array([0.0, -E, 0.0, -_SQRT2 * U], dtype=complex)
-    return a, b
-
-
-def amplitudes_linear_solve(params: ModelParams) -> AmplitudeSet:
-    """Stationary amplitudes from the truncated amplitude equations.
-
-    With the ground amplitude pinned to 1, the stationary conditions for
-    (c0e, c1g, c1e, c2g) form the 4x4 linear system
-
-        delta'*c0e + g*c1g                              = 0
-        g*c0e + deltaA'*c1g                             = -E
-        E*c0e + (deltaA'+delta')*c1e + sqrt2*g*c2g      = 0
-        sqrt2*E*c1g + sqrt2*g*c1e + 2*deltaA'*c2g       = -sqrt2*U
-
-    solved directly.  This is the reference oracle for the closed forms.
-    """
-    a, b = _system(params)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularSystemError(
-            f"weak-drive system is numerically singular (condition number {cond:.3e})"
-        )
-    c0e, c1g, c1e, c2g = np.linalg.solve(a, b)
-    _warn_if_hierarchy_broken(c1g, c2g)
-    return AmplitudeSet(1.0 + 0.0j, c0e, c1g, c1e, c2g)
 
 
 class _Complex:
@@ -298,7 +228,7 @@ def weak_drive_grid(delta=0.0, delta_a=0.0, g=0.0, E=0.0, U=0.0, kappa=1.0,
     two = c2g.modulus() ** 2
     four = one**4
     g2 = 2.0 * two / four
-    # |c2g|^2 overflowing is met before |c1g|^4 underflowing, as in the scalar order
+    # |c2g|^2 overflowing is checked before |c1g|^4 underflowing
     g2_failure = np.where(
         fine, _first_failure((7, one == 0), (8, np.isinf(two) | np.isinf(four)), (9, four == 0)),
         amplitudes_failure)
@@ -307,36 +237,6 @@ def weak_drive_grid(delta=0.0, delta_a=0.0, g=0.0, E=0.0, U=0.0, kappa=1.0,
                          np.where(n_a_failure == 0, n_a, np.nan),
                          np.where(g2_failure == 0, g2, np.nan),
                          amplitudes_failure, n_a_failure, g2_failure)
-
-
-def _closed_form_at(params: ModelParams) -> WeakDriveGrid:
-    # shape (1,), not 0-d: NumPy's scalar loops round differently from its
-    # array loops, and one point must give the bits of its cell in a grid
-    grid = weak_drive_grid(**{k: [v] for k, v in vars(params).items()})
-    _raise_first(grid.amplitudes_failure)
-    _warn_if_hierarchy_broken(grid.c1g, grid.c2g)
-    return grid
-
-
-def amplitudes_closed_form(params: ModelParams) -> AmplitudeSet:
-    """Closed-form solution of the same truncated system (see :func:`weak_drive_grid`)."""
-    grid = _closed_form_at(params)
-    return AmplitudeSet(1.0 + 0.0j, *(c.item() for c in
-                                      (grid.c0e, grid.c1g, grid.c1e, grid.c2g)))
-
-
-def g2_weak_drive(params: ModelParams) -> float:
-    """Equal-time second-order correlation 2|c2g|^2 / |c1g|^4 of the expansion."""
-    grid = _closed_form_at(params)
-    _raise_first(grid.g2_failure)
-    return grid.g2.item()
-
-
-def mean_photon_weak_drive(params: ModelParams) -> float:
-    """Mean photon number |c1g|^2 of the expansion; independent of U by construction."""
-    grid = _closed_form_at(params)
-    _raise_first(grid.n_a_failure)
-    return grid.n_a.item()
 
 
 def cpb_partner_detuning(known_detuning: float, g: float) -> float:
@@ -361,10 +261,10 @@ def ucpb_roots(params: ModelParams, free: str,
     sharpens every interior local minimum by bounded scalar minimization.  A
     minimum within 0.5 gamma of the CPB hyperbola (against the other, fixed
     detuning) is labeled CPB.  Otherwise it counts as UCPB only if it is a
-    genuine interference null that actually blocks: |c2g| strictly below its
-    value 5 gamma away on both sides, and predicted g2(0) < 0.5 there (the
-    usual sub-Poissonian bar; a c2g dip where the one-photon amplitude dies
-    even faster is not blockade).  The hyperbola point itself is appended as
+    genuine interference null that actually blocks: |c2g| below its value
+    5 gamma away on both sides by more than the relative depth ``_MIN_DIP``,
+    and predicted g2(0) < 0.5 there (the usual sub-Poissonian bar; a c2g dip
+    where the one-photon amplitude dies even faster is not blockade).  The hyperbola point itself is appended as
     a CPB root when it falls inside the interval, so the result covers both
     blockade flavors.
     """
@@ -402,16 +302,15 @@ def ucpb_roots(params: ModelParams, free: str,
             continue
         background = min(_c2g_magnitude(params, free, x_min - 5.0 * gamma),
                          _c2g_magnitude(params, free, x_min + 5.0 * gamma))
-        if residual >= background:
+        if residual >= (1.0 - _MIN_DIP) * background:
             continue
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                blocks = g2_weak_drive(
-                    dataclasses.replace(params, **{free: x_min})) < 0.5
-        except UndefinedCorrelationError:
-            blocks = True  # undriven one-photon sector: nothing to compare against
-        if blocks:
+        # shape (1,), not 0-d, whose loops round differently: the bits of a grid cell
+        at_root = weak_drive_grid(**{**vars(params), free: [x_min]})
+        code = int(at_root.g2_failure[0])
+        # an undriven one-photon sector leaves g2 undefined: nothing to compare against
+        if code and not isinstance(failure_error(code), UndefinedCorrelationError):
+            raise failure_error(code)
+        if code or at_root.g2[0] < 0.5:
             roots.append(ConditionRoot(free, x_min, residual, "UCPB"))
 
     if cpb_value is not None and lo <= cpb_value <= hi:

@@ -24,6 +24,9 @@ AXIS_FIELDS = ("delta", "delta_a", "g", "E", "U")
 _NONNEG_FIELDS = ("g", "E", "U")
 # engine -> what it runs, in column order
 _ENGINES = {"numeric": "steady-state solve", "analytic": "weak-drive evaluation"}
+# points in one grid or optimum scan: an analytic 1001x1001 sweep2d peaks at
+# ~620 MiB, while the paper's largest map, 241x241, has 58,081 points
+MAX_GRID_POINTS = 10**6
 
 
 class _UsageError(Exception):
@@ -51,13 +54,23 @@ def _parse_axis(text: str) -> tuple[str, float, float, int]:
         raise _UsageError(f"bad axis spec {text!r}: start/stop must be numbers, steps an int")
     if steps < 2:
         raise _UsageError(f"axis {name!r} needs at least 2 steps, got {steps}")
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise _UsageError(f"axis {name!r} needs finite start and stop, got {start} .. {stop}")
+    # finite only when both ends are, and their distance fits in float64
+    if not math.isfinite(stop - start):
+        raise _UsageError(f"axis {name!r} needs finite start and stop a finite distance "
+                          f"apart, got {start} .. {stop}")
     if not start < stop:
         raise _UsageError(f"axis {name!r} needs start < stop, got {start} .. {stop}")
     if name in _NONNEG_FIELDS and start < 0:
         raise _UsageError(f"axis over {name!r} must stay nonnegative")
     return name, start, stop, steps
+
+
+def _grid_size(axes) -> int:
+    n = math.prod(steps for *_, steps in axes)
+    if n > MAX_GRID_POINTS:
+        raise _UsageError(f"grid of {n} points exceeds the limit of {MAX_GRID_POINTS}; "
+                          "split it into runs over smaller ranges")
+    return n
 
 
 def _parse_engines(text: str) -> tuple[str, ...]:
@@ -190,6 +203,7 @@ def cmd_grid(args) -> int:
     names = [axis[0] for axis in axes]
     if len(set(names)) < len(names):
         raise _UsageError(f"axis and axis2 must differ, both are {names[0]!r}")
+    n = _grid_size(axes)
     labels = [label for label, _ in columns]
     header = (names + [f"g2_{x}" for x in labels] + [f"n_a_{x}" for x in labels]
               + info + ["status"])
@@ -199,7 +213,6 @@ def cmd_grid(args) -> int:
     # the last axis is the slow (outer) index
     coords = [m.ravel(order="F") for m in np.meshgrid(
         *(np.linspace(start, stop, steps) for _, start, stop, steps in axes), indexing="ij")]
-    n = math.prod(steps for *_, steps in axes)
     fields = {k: np.full(n, v) for k, v in vars(base).items()}
     fields.update(zip(names, coords))
     outs = [evaluate(fields) for _, evaluate in columns]
@@ -225,9 +238,10 @@ def cmd_grid(args) -> int:
 
 def cmd_optimum(args) -> int:
     params = _params_from_args(args)
-    name, start, stop, steps = _parse_axis(args.axis)
+    name, start, stop, steps = axis = _parse_axis(args.axis)
     if name not in ("delta", "delta_a"):
         raise _UsageError("optimum searches a detuning: axis must be delta or delta_a")
+    _grid_size([axis])
     try:
         roots = ucpb_roots(params, name, (start, stop), grid_step=(stop - start) / (steps - 1))
     except BlockadeError as exc:

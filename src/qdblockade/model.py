@@ -96,16 +96,6 @@ class ModelParams:
         if self.g < 0 or self.E < 0 or self.U < 0:
             raise ValueError("g, E, U must be nonnegative")
 
-    @property
-    def delta_prime(self) -> complex:
-        """Complex dot detuning delta - i gamma/2 absorbing the dot linewidth."""
-        return self.delta - 0.5j * self.gamma
-
-    @property
-    def delta_a_prime(self) -> complex:
-        """Complex cavity detuning delta_a - i kappa/2 absorbing the cavity linewidth."""
-        return self.delta_a - 0.5j * self.kappa
-
 
 def jc_limit(params: ModelParams) -> ModelParams:
     """Same model with the two-photon drive switched off (U = 0)."""

@@ -1,23 +1,34 @@
-"""The weak-drive closed form one point at a time, kept as an oracle for the array path.
+"""The weak-drive theory one point at a time, kept as an oracle for the array path.
 
-These are the scalar ``amplitudes_closed_form``, ``g2_weak_drive`` and
-``mean_photon_weak_drive`` the package evaluated before it took whole grids
-as arrays: Python complex arithmetic, each failure raised where it is first
-met.  They raise the package's exception types with the same messages and
-do not warn.  ``amplitudes`` returns ``(c0e, c1g, c1e, c2g)``.
+``amplitudes``, ``g2_weak_drive`` and ``mean_photon_weak_drive`` are the
+scalar closed form the package evaluated before it took whole grids as
+arrays: Python complex arithmetic, each failure raised where it is first
+met.  They raise the package's exception types with the same messages.
+``amplitudes_linear_solve`` solves the truncated amplitude equations
+directly, with no closed form at all.  Both amplitude functions return
+``(c0e, c1g, c1e, c2g)``; nothing here warns.
 """
 
 import cmath
 import math
 
+import numpy as np
+
 from qdblockade import ModelParams, SingularSystemError, UndefinedCorrelationError
 
 _SQRT2 = math.sqrt(2.0)
 
+# condition numbers above this make the 4x4 solve meaningless in float64
+_COND_LIMIT = 1e12
+
+
+def _complex_detunings(params: ModelParams) -> tuple[complex, complex]:
+    """delta' = delta - i gamma/2 and deltaA' = delta_a - i kappa/2."""
+    return params.delta - 0.5j * params.gamma, params.delta_a - 0.5j * params.kappa
+
 
 def amplitudes(params: ModelParams) -> tuple[complex, complex, complex, complex]:
-    dp = params.delta_prime
-    dap = params.delta_a_prime
+    dp, dap = _complex_detunings(params)
     g, E, U = params.g, params.E, params.U
     g2 = g * g
     s = dap + dp
@@ -69,3 +80,38 @@ def mean_photon_weak_drive(params: ModelParams) -> float:
         return float(abs(c1g)) ** 2
     except OverflowError:
         raise SingularSystemError("weak-drive mean photon number overflows float64") from None
+
+
+def _system(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    dp, dap = _complex_detunings(params)
+    g, E, U = params.g, params.E, params.U
+    a = np.array([
+        [dp, g, 0.0, 0.0],
+        [g, dap, 0.0, 0.0],
+        [E, 0.0, dap + dp, _SQRT2 * g],
+        [0.0, _SQRT2 * E, _SQRT2 * g, 2.0 * dap],
+    ], dtype=complex)
+    b = np.array([0.0, -E, 0.0, -_SQRT2 * U], dtype=complex)
+    return a, b
+
+
+def amplitudes_linear_solve(params: ModelParams) -> tuple[complex, complex, complex, complex]:
+    """Stationary amplitudes from the truncated amplitude equations.
+
+    With the ground amplitude pinned to 1, the stationary conditions for
+    (c0e, c1g, c1e, c2g) form the 4x4 linear system
+
+        delta'*c0e + g*c1g                              = 0
+        g*c0e + deltaA'*c1g                             = -E
+        E*c0e + (deltaA'+delta')*c1e + sqrt2*g*c2g      = 0
+        sqrt2*E*c1g + sqrt2*g*c1e + 2*deltaA'*c2g       = -sqrt2*U
+
+    solved directly.
+    """
+    a, b = _system(params)
+    cond = np.linalg.cond(a)
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise SingularSystemError(
+            f"weak-drive system is numerically singular (condition number {cond:.3e})"
+        )
+    return tuple(complex(c) for c in np.linalg.solve(a, b))

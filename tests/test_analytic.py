@@ -13,15 +13,12 @@ from qdblockade import (
     ModelParams,
     SingularSystemError,
     UndefinedCorrelationError,
-    amplitudes_closed_form,
-    amplitudes_linear_solve,
     cpb_partner_detuning,
-    g2_weak_drive,
-    mean_photon_weak_drive,
     solve_steady_state,
     ucpb_roots,
+    weak_drive_grid,
 )
-from qdblockade.analytic import failure_error, weak_drive_grid
+from qdblockade.analytic import failure_error
 
 SQRT2 = np.sqrt(2.0)
 
@@ -29,93 +26,98 @@ SQRT2 = np.sqrt(2.0)
 REF = ModelParams(delta=-20.0, delta_a=-20.0, g=20.0, E=0.1, U=0.0005)
 
 
+def _at(params):
+    """The weak-drive grid at one point (0-d cells)."""
+    return weak_drive_grid(**vars(params))
+
+
+def _amplitudes(grid):
+    return tuple(complex(c) for c in (grid.c0e, grid.c1g, grid.c1e, grid.c2g))
+
+
+def _failure(params, quantity):
+    """The exception the grid reports for ``quantity`` at one point, or None."""
+    code = int(getattr(_at(params), f"{quantity}_failure"))
+    return failure_error(code) if code else None
+
+
 def test_empty_cavity_amplitudes():
     p = ModelParams(delta_a=0.0, g=0.0, E=0.1, U=0.0, kappa=1.0)
-    for amps in (amplitudes_linear_solve(p), amplitudes_closed_form(p)):
-        assert amps.c0g == 1.0
-        assert abs(abs(amps.c1g) - 0.2) < 1e-12  # E / |delta_a - i kappa/2|
-        assert abs(amps.c0e) < 1e-15
-        assert abs(amps.c1e) < 1e-15
+    for c0e, c1g, c1e, _ in (analytic_oracle.amplitudes_linear_solve(p), _amplitudes(_at(p))):
+        assert abs(abs(c1g) - 0.2) < 1e-12  # E / |delta_a - i kappa/2|
+        assert abs(c0e) < 1e-15
+        assert abs(c1e) < 1e-15
 
 
 def test_no_drive_no_excitation():
     p = ModelParams(delta=5.0, delta_a=-3.0, g=20.0, E=0.0, U=0.0)
-    amps = amplitudes_linear_solve(p)
-    for c in (amps.c0e, amps.c1g, amps.c1e, amps.c2g):
+    for c in analytic_oracle.amplitudes_linear_solve(p):
         assert abs(c) < 1e-15
 
 
 def test_closed_form_matches_solver_at_reference_point():
-    direct = amplitudes_linear_solve(REF)
-    closed = amplitudes_closed_form(REF)
-    for name in ("c0e", "c1g", "c1e", "c2g"):
-        assert abs(getattr(direct, name) - getattr(closed, name)) < 1e-10
+    direct = analytic_oracle.amplitudes_linear_solve(REF)
+    closed = _amplitudes(_at(REF))
+    for d, c in zip(direct, closed):
+        assert abs(d - c) < 1e-10
 
 
 def test_closed_form_matches_solver_on_random_draws():
     rng = np.random.default_rng(20260814)
-    for _ in range(1000):
-        p = ModelParams(delta=rng.uniform(-100, 100), delta_a=rng.uniform(-100, 100),
-                        g=rng.uniform(0, 50), E=rng.uniform(0, 0.2),
-                        U=rng.uniform(0, 0.01), kappa=rng.uniform(0.5, 2.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            direct = amplitudes_linear_solve(p)
-            closed = amplitudes_closed_form(p)
-        for name in ("c0e", "c1g", "c1e", "c2g"):
-            assert abs(getattr(direct, name) - getattr(closed, name)) < 1e-10
+    draws = [ModelParams(delta=rng.uniform(-100, 100), delta_a=rng.uniform(-100, 100),
+                         g=rng.uniform(0, 50), E=rng.uniform(0, 0.2),
+                         U=rng.uniform(0, 0.01), kappa=rng.uniform(0.5, 2.0))
+             for _ in range(1000)]
+    grid = weak_drive_grid(**{k: [vars(p)[k] for p in draws] for k in vars(REF)})
+    assert not grid.amplitudes_failure.any()
+    for i, p in enumerate(draws):
+        direct = analytic_oracle.amplitudes_linear_solve(p)
+        closed = (grid.c0e[i], grid.c1g[i], grid.c1e[i], grid.c2g[i])
+        for d, c in zip(direct, closed):
+            assert abs(d - c) < 1e-10
 
 
 def test_two_photon_amplitude_of_empty_driven_cavity():
     p = ModelParams(delta=7.0, delta_a=4.0, g=0.0, E=0.1, U=0.0)
-    c2g = amplitudes_closed_form(p).c2g
-    expected = p.E**2 / (SQRT2 * p.delta_a_prime**2)
-    assert abs(c2g - expected) < 1e-15
+    expected = p.E**2 / (SQRT2 * (p.delta_a - 0.5j * p.kappa) ** 2)
+    assert abs(_at(p).c2g - expected) < 1e-15
 
 
 def test_two_photon_amplitude_exact_interference_zero():
     # lossless cavity, no dot: U = E^2/delta_a kills c2g identically
     p = ModelParams(delta=2.0, delta_a=20.0, g=0.0, E=0.1, U=0.1**2 / 20.0, kappa=0.0)
-    assert abs(amplitudes_closed_form(p).c2g) < 1e-18
+    assert abs(_at(p).c2g) < 1e-18
 
 
 def test_closed_form_singular_denominators():
     # lossless resonances put the complex denominators exactly at zero
-    with pytest.raises(SingularSystemError, match="one-photon"):
-        amplitudes_closed_form(ModelParams(delta=20.0, delta_a=20.0, g=20.0,
-                                           E=0.1, kappa=0.0, gamma=0.0))
-    with pytest.raises(SingularSystemError, match="two-photon"):
-        amplitudes_closed_form(ModelParams(delta=30.0, delta_a=10.0, g=20.0,
-                                           E=0.1, kappa=0.0, gamma=0.0))
-    with pytest.raises(SingularSystemError, match="combined"):
-        amplitudes_closed_form(ModelParams(delta=-5.0, delta_a=5.0, g=20.0,
-                                           E=0.1, kappa=0.0, gamma=0.0))
+    for delta, delta_a, denominator in ((20.0, 20.0, "one-photon"), (30.0, 10.0, "two-photon"),
+                                        (-5.0, 5.0, "combined")):
+        exc = _failure(ModelParams(delta=delta, delta_a=delta_a, g=20.0, E=0.1,
+                                   kappa=0.0, gamma=0.0), "amplitudes")
+        assert isinstance(exc, SingularSystemError) and denominator in str(exc)
 
 
 def test_linear_solve_flags_singular_system():
     p = ModelParams(delta=20.0, delta_a=20.0, g=20.0, E=0.1, kappa=0.0, gamma=0.0)
     with pytest.raises(SingularSystemError, match="condition number"):
-        amplitudes_linear_solve(p)
+        analytic_oracle.amplitudes_linear_solve(p)
 
 
 def test_extreme_drives_end_in_blockade_errors():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(SingularSystemError, match="amplitudes overflow"):
-            amplitudes_closed_form(ModelParams(E=5e307))
-        with pytest.raises(SingularSystemError, match="amplitudes overflow"):
-            mean_photon_weak_drive(ModelParams(E=5e307))
+    for params, quantity, kind, text in (
+        (ModelParams(E=5e307), "amplitudes", SingularSystemError, "amplitudes overflow"),
+        (ModelParams(E=5e307), "n_a", SingularSystemError, "amplitudes overflow"),
         # finite amplitudes whose |c1g|^2 or |c1g|^4 overflows, or underflows to zero
-        with pytest.raises(SingularSystemError, match="overflows"):
-            mean_photon_weak_drive(ModelParams(E=7e153))
-        with pytest.raises(SingularSystemError, match="overflows"):
-            g2_weak_drive(ModelParams(E=1e80))
-        with pytest.raises(UndefinedCorrelationError, match="underflows"):
-            g2_weak_drive(ModelParams(E=5e-90))
+        (ModelParams(E=7e153), "n_a", SingularSystemError, "overflows"),
+        (ModelParams(E=1e80), "g2", SingularSystemError, "overflows"),
+        (ModelParams(E=5e-90), "g2", UndefinedCorrelationError, "underflows"),
         # lossless denominators whose product underflows to zero
-        with pytest.raises(SingularSystemError, match="amplitudes overflow"):
-            g2_weak_drive(ModelParams(delta=1e-160, delta_a=1e-160, E=0.1,
-                                      kappa=0.0, gamma=0.0))
+        (ModelParams(delta=1e-160, delta_a=1e-160, E=0.1, kappa=0.0, gamma=0.0), "g2",
+         SingularSystemError, "amplitudes overflow"),
+    ):
+        exc = _failure(params, quantity)
+        assert isinstance(exc, kind) and text in str(exc), (params, quantity)
 
 
 @pytest.mark.parametrize("scalar", [float, np.float64])
@@ -123,26 +125,23 @@ def test_overflow_contract_holds_for_numpy_scalars(scalar):
     # NumPy scalars overflow to inf with a warning where Python floats raise
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warnings.filterwarnings("ignore", "weak-drive amplitude hierarchy", RuntimeWarning)
-        with pytest.raises(SingularSystemError, match="overflows"):
-            mean_photon_weak_drive(ModelParams(E=scalar(7e153)))
-        with pytest.raises(SingularSystemError, match="overflows"):
-            g2_weak_drive(ModelParams(E=scalar(7e153)))
-        with pytest.raises(SingularSystemError, match="overflows"):
-            g2_weak_drive(ModelParams(E=scalar(1e80)))
-        with pytest.raises(UndefinedCorrelationError, match="underflows"):
-            g2_weak_drive(ModelParams(E=scalar(5e-90)))
+        for E, quantity, kind, text in ((7e153, "n_a", SingularSystemError, "overflows"),
+                                        (7e153, "g2", SingularSystemError, "overflows"),
+                                        (1e80, "g2", SingularSystemError, "overflows"),
+                                        (5e-90, "g2", UndefinedCorrelationError, "underflows")):
+            exc = _failure(ModelParams(E=scalar(E)), quantity)
+            assert isinstance(exc, kind) and text in str(exc), (E, quantity)
 
 
 def test_g2_at_reference_point():
     # deep conventional blockade on the hyperbola delta*delta_a = g^2
-    val = g2_weak_drive(REF)
+    val = _at(REF).g2
     assert abs(val - 0.022) < 0.15 * 0.022
 
 
 def test_g2_bimode_interference_value():
     p = ModelParams(delta=30.0, delta_a=20.0, g=0.0, E=0.1, U=0.0005)
-    val = g2_weak_drive(p)
+    val = _at(p).g2
     # |E^2 - U*deltaA'|^2 / E^4 with the real part cancelled exactly
     expected = p.U**2 * p.kappa**2 / (4.0 * p.E**4)
     assert abs(val - expected) < 1e-15
@@ -152,15 +151,14 @@ def test_g2_bimode_interference_value():
 def test_g2_coherent_drive_is_poissonian():
     for da in (-17.0, 0.0, 5.0, 40.0):
         p = ModelParams(delta=3.0, delta_a=da, g=0.0, E=0.1, U=0.0)
-        assert abs(g2_weak_drive(p) - 1.0) < 1e-12
+        assert abs(_at(p).g2 - 1.0) < 1e-12
 
 
 def test_g2_undefined_when_one_photon_amplitude_vanishes():
     # two-photon drive alone populates pairs but leaves c1g = 0
     p = ModelParams(delta=-20.0, delta_a=-20.0, g=20.0, E=0.0, U=0.0005)
-    # c1g = 0 < |c2g| also breaks the amplitude hierarchy, which is warned first
-    with pytest.raises(UndefinedCorrelationError), pytest.warns(RuntimeWarning, match="hierarchy"):
-        g2_weak_drive(p)
+    assert isinstance(_failure(p, "g2"), UndefinedCorrelationError)
+    assert math.isnan(_at(p).g2)
 
 
 def test_cpb_depth_estimate_order_of_magnitude_on_locus():
@@ -225,6 +223,9 @@ def test_roots_bimode_limit():
     assert len(roots) == 1
     assert roots[0].kind == "UCPB"
     assert roots[0].value == pytest.approx(20.0, abs=0.1)  # E^2 / U
+    # without the dot |c2g| does not depend on delta: its rounding dips are no roots
+    flat = ModelParams(delta_a=20.0, g=0.0, E=0.1, U=0.0005)
+    assert ucpb_roots(flat, "delta", (-60.0, 60.0)) == []
 
 
 def test_roots_jc_limit_satisfy_real_part_condition():
@@ -245,10 +246,8 @@ def test_roots_are_local_minima_of_c2g():
     for r in ucpb_roots(p, "delta", (-60.0, 60.0)):
         if r.kind != "UCPB":
             continue
-        for off in (-5.0, 5.0):
-            away = abs(amplitudes_closed_form(
-                dataclasses.replace(p, delta=r.value + off)).c2g)
-            assert r.residual < away
+        away = np.abs(weak_drive_grid(**{**vars(p), "delta": r.value + np.array([-5.0, 5.0])}).c2g)
+        assert (r.residual < away).all()
 
 
 def test_roots_input_validation():
@@ -265,13 +264,13 @@ def test_mean_photon_lorentzian():
     for da in (0.0, 1.0, -8.0):
         p = ModelParams(delta=4.0, delta_a=da, g=0.0, E=0.1, U=0.0)
         expected = p.E**2 / (da**2 + p.kappa**2 / 4.0)
-        assert mean_photon_weak_drive(p) == pytest.approx(expected, rel=1e-12)
+        assert _at(p).n_a == pytest.approx(expected, rel=1e-12)
 
 
 def test_mean_photon_has_no_u_dependence():
     base = ModelParams(delta=30.0, delta_a=13.3, g=20.0, E=0.1, U=0.0)
     bumped = dataclasses.replace(base, U=0.005)
-    assert mean_photon_weak_drive(base) == mean_photon_weak_drive(bumped)
+    assert _at(base).n_a == _at(bumped).n_a
 
 
 def test_mean_photon_matches_steady_state():
@@ -281,24 +280,17 @@ def test_mean_photon_matches_steady_state():
     for E in (0.1, 0.05):
         p = ModelParams(delta=30.0, delta_a=13.3, g=20.0, E=E, U=0.0005)
         numeric = solve_steady_state(p, HilbertSpace(8)).n_a
-        defects.append(abs(numeric - mean_photon_weak_drive(p)) / numeric)
+        defects.append(abs(numeric - _at(p).n_a) / numeric)
     assert defects[0] < 0.06
     assert defects[1] < 0.3 * defects[0]
 
 
-def test_hierarchy_warning_fires_only_outside_domain():
-    # dot shielding kills c1g faster than c2g: hierarchy inverted
-    dark = ModelParams(delta=0.0, delta_a=20.0, g=20.0, E=0.1, U=0.0005)
-    for entry_point in (amplitudes_closed_form, amplitudes_linear_solve,
-                        g2_weak_drive, mean_photon_weak_drive):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            entry_point(REF)
-        assert not caught
-        with pytest.warns(RuntimeWarning, match="hierarchy") as record:
-            entry_point(dark)
-        # the warning points at the caller, not into the library
-        assert [w.filename for w in record] == [__file__], entry_point.__name__
+def test_amplitude_hierarchy_holds_only_inside_domain():
+    # dot shielding kills c1g faster than c2g at delta = 0: hierarchy inverted
+    grid = weak_drive_grid(**{**vars(REF), "delta": [REF.delta, 0.0],
+                              "delta_a": [REF.delta_a, 20.0]})
+    one, two = np.abs(grid.c1g), np.abs(grid.c2g)
+    assert ((two <= one) & (one <= 1.0)).tolist() == [True, False]
 
 
 def _edge_cells():
@@ -329,8 +321,13 @@ def _within_4_ulp(a, b):
     return abs(a - b) <= 4 * math.ulp(max(abs(a), abs(b)))
 
 
+# the failure codes each set of cells meets: none on the map, every one on the edges
+_FAILURES_MET = {_paper_map_cells: set(), _edge_cells: set(range(1, 10))}
+
+
 @pytest.mark.parametrize("cells", [_paper_map_cells, _edge_cells])
 def test_grid_matches_scalar_oracle(cells):
+    want_met, met = _FAILURES_MET[cells], set()
     cells = cells()
     grid = weak_drive_grid(**{k: np.array([c[k] for c in cells]) for k in cells[0]})
     amplitudes = (grid.c0e, grid.c1g, grid.c1e, grid.c2g)
@@ -343,6 +340,7 @@ def test_grid_matches_scalar_oracle(cells):
             got = failure_error(int(failure[i])) if failure[i] else None
             assert (type(got), str(got)) == (type(exc), str(exc)), (cells[i], fn.__name__)
             if exc is not None:
+                met.add(int(failure[i]))
                 assert values is None or math.isnan(values[i])
                 continue
             if values is None:  # the four amplitudes, part by part
@@ -353,41 +351,4 @@ def test_grid_matches_scalar_oracle(cells):
             for w, a in pairs:
                 assert _within_4_ulp(w, a), (cells[i], fn.__name__, w, a)
                 assert "%.8e" % w == "%.8e" % a, (cells[i], fn.__name__, w, a)
-
-
-def test_one_point_entry_points_equal_the_grid_bit_for_bit():
-    # the reference delta cuts: a point read alone gives the bits of its cell
-    deltas = np.linspace(-60.0, 60.0, 241)
-    for delta_a in (-20.0, 20.0, 30.0):
-        grid = weak_drive_grid(delta=deltas, delta_a=delta_a, g=20.0, E=0.1, U=0.0005)
-        points = [ModelParams(delta=d, delta_a=delta_a, g=20.0, E=0.1, U=0.0005)
-                  for d in deltas.tolist()]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the hierarchy warning
-            amplitudes = [amplitudes_closed_form(p) for p in points]
-            assert np.array_equal([g2_weak_drive(p) for p in points], grid.g2), delta_a
-            assert np.array_equal([mean_photon_weak_drive(p) for p in points], grid.n_a), delta_a
-        for name in ("c0e", "c1g", "c1e", "c2g"):
-            assert np.array_equal([getattr(a, name) for a in amplitudes],
-                                  getattr(grid, name)), (delta_a, name)
-
-
-def test_scalar_entry_points_raise_what_the_oracle_raises():
-    # one edge cell for each distinct outcome of each entry point
-    seen = set()
-    for params in (ModelParams(**c) for c in _edge_cells()):
-        for ours, oracle in ((amplitudes_closed_form, analytic_oracle.amplitudes),
-                             (g2_weak_drive, analytic_oracle.g2_weak_drive),
-                             (mean_photon_weak_drive, analytic_oracle.mean_photon_weak_drive)):
-            _, want = _outcome(oracle, params)
-            key = (ours.__name__, type(want), str(want))
-            if key in seen:
-                continue
-            seen.add(key)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                _, got = _outcome(ours, params)
-            assert (type(got), str(got)) == (type(want), str(want)), (params, ours.__name__)
-    # every failure the grid can report was met
-    assert {msg for _, kind, msg in seen if kind is not type(None)} == {
-        str(failure_error(code)) for code in range(1, 10)}
+    assert met == want_met

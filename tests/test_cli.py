@@ -89,6 +89,13 @@ def test_point_solver_failure_exits_3(capsys):
     ["point", "--kappa", "nan"],
     ["point", "--converge-tol", "nan"],
     ["sweep", "--axis", "delta:0:inf:3"],
+    # finite ends whose distance overflows float64
+    ["sweep", "--axis", "delta:-1e308:1e308:3", "--cutoff", "4"],
+    ["sweep", "--axis", "delta:-1e308:1e308:3", "--engines", "analytic"],
+    # grids above the point limit
+    ["sweep", "--axis", "delta:0:1:10000000000000", "--engines", "analytic"],
+    ["optimum", "--axis", "delta:0:1:10000000000000"],
+    ["sweep2d", "--axis", "delta:0:1:1001", "--axis2", "delta_a:0:1:1000", "--engines", "numeric"],
 ])
 def test_usage_errors_exit_1(capsys, monkeypatch, argv):
     # refused before any solve: a nan tolerance would otherwise climb to cutoff 40

@@ -31,12 +31,6 @@ def test_params_validation():
     ModelParams(gamma=0.0)
 
 
-def test_complex_detunings():
-    p = ModelParams(delta=3.0, delta_a=-2.0, kappa=4.0, gamma=2.0)
-    assert p.delta_prime == 3.0 - 1.0j
-    assert p.delta_a_prime == -2.0 - 2.0j
-
-
 def test_hamiltonian_diagonal_when_undriven():
     space = HilbertSpace(4)
     p = ModelParams(delta=3.0, delta_a=-1.5)
