@@ -8,8 +8,7 @@ picture where it matters.
 import numpy as np
 
 from qdblockade.analytic import weak_drive_grid
-from qdblockade.model import HilbertSpace, ModelParams
-from qdblockade.steady_state import solve_steady_state
+from qdblockade.steady_state import steady_state_grid
 
 G = 20.0
 E = 0.1
@@ -33,12 +32,11 @@ for name, block in quads.items():
     print(f"  {name}: {np.nanmin(block):.3e}")
 
 print("\nsteady-state spot checks (cutoff 8):")
-space = HilbertSpace(8)
 spots = [(-20.0, -20.0), (20.0, 20.0), (-40.0, 20.0), (28.0, -32.0)]
-theory = weak_drive_grid(delta=[d for d, _ in spots], delta_a=[da for _, da in spots],
-                         g=G, E=E, U=U).g2
-for (d, da), predicted in zip(spots, theory.tolist()):
-    num = solve_steady_state(ModelParams(delta=d, delta_a=da, g=G, E=E, U=U), space).g2_zero
+at_spots = dict(delta=[d for d, _ in spots], delta_a=[da for _, da in spots], g=G, E=E, U=U)
+theory = weak_drive_grid(**at_spots).g2
+numeric = steady_state_grid(8, **at_spots).g2
+for (d, da), num, predicted in zip(spots, numeric.tolist(), theory.tolist()):
     print(f"  delta={d:+6.1f} delta_a={da:+6.1f}   numeric {num:.3e}   "
           f"theory {predicted:.3e}")
 

@@ -5,27 +5,17 @@ keeps the dot trough, moves the interference trough, and leaves the mean
 photon number essentially untouched by the gain.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
-from qdblockade.model import HilbertSpace, ModelParams, bimode_limit, jc_limit
-from qdblockade.steady_state import solve_steady_state
+from qdblockade.steady_state import steady_state_grid
 
-space = HilbertSpace(8)
-base = ModelParams(delta=30.0, delta_a=0.0, g=20.0, E=0.1, U=0.0005)
 axis = np.arange(0.0, 60.0 + 0.125, 0.25)
+cut = dict(delta=30.0, delta_a=axis, g=20.0, E=0.1, U=0.0005)
 
 curves = {}
-for name, p0 in (("composite", base), ("dot only", jc_limit(base)),
-                 ("cavity only", bimode_limit(base))):
-    g2 = np.empty(axis.size)
-    n_a = np.empty(axis.size)
-    for i, da in enumerate(axis):
-        res = solve_steady_state(replace(p0, delta_a=float(da)), space)
-        g2[i] = res.g2_zero
-        n_a[i] = res.n_a
-    curves[name] = (g2, n_a)
+for name, limit in (("composite", {}), ("dot only", {"U": 0.0}), ("cavity only", {"g": 0.0})):
+    res = steady_state_grid(8, **{**cut, **limit})
+    curves[name] = (res.g2, res.n_a)
 
 def troughs(ys, bar=0.1):
     out = []

@@ -8,10 +8,9 @@ a full steady-state solve at the root.
 from dataclasses import replace
 
 from qdblockade.analytic import ucpb_roots, weak_drive_grid
-from qdblockade.model import HilbertSpace, ModelParams
-from qdblockade.steady_state import solve_steady_state
+from qdblockade.model import ModelParams
+from qdblockade.steady_state import steady_state_grid
 
-space = HilbertSpace(8)
 base = ModelParams(delta=0.0, delta_a=0.0, g=20.0, E=0.1, U=0.0005)
 
 cases = [
@@ -34,9 +33,10 @@ for title, params, free, interval in cases:
         print("  no blockade roots in the interval")
         print()
         continue
-    at_roots = weak_drive_grid(**{**vars(params), free: [r.value for r in roots]})
-    for root, predicted in zip(roots, at_roots.g2.tolist()):
-        numeric = solve_steady_state(replace(params, **{free: root.value}), space).g2_zero
+    at_roots = {**vars(params), free: [r.value for r in roots]}
+    predictions = weak_drive_grid(**at_roots).g2
+    numerics = steady_state_grid(8, **at_roots).g2
+    for root, predicted, numeric in zip(roots, predictions.tolist(), numerics.tolist()):
         print(f"  {root.kind:4s} {free} = {root.value:+8.3f}   "
               f"|c2g| residual = {root.residual:.2e}   "
               f"predicted g2 = {predicted:.3e}   numeric g2 = {numeric:.3e}")

@@ -17,14 +17,14 @@ from .errors import (
 from .model import (
     HilbertSpace,
     ModelParams,
-    bimode_limit,
     build_liouvillian,
-    jc_limit,
 )
 from .steady_state import (
+    SteadyStateGrid,
     SteadyStateResult,
     converged_solve,
     solve_steady_state,
+    steady_state_grid,
 )
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-# a UCPB minimum of |c2g| must lie this far below its background, relatively:
+# a minimum of |c2g| must lie this far below its background, relatively:
 # where |c2g| does not depend on the scanned detuning (g = 0 along delta),
 # rounding alone makes dips of ~1e-14, while real interference nulls are
 # >= 2e-5 deep on the paper's cuts
@@ -259,14 +259,14 @@ def ucpb_roots(params: ModelParams, free: str,
 
     Scans |c2g|^2 over ``free`` in ``interval`` on a ``grid_step`` grid, then
     sharpens every interior local minimum by bounded scalar minimization.  A
-    minimum within 0.5 gamma of the CPB hyperbola (against the other, fixed
-    detuning) is labeled CPB.  Otherwise it counts as UCPB only if it is a
-    genuine interference null that actually blocks: |c2g| below its value
-    5 gamma away on both sides by more than the relative depth ``_MIN_DIP``,
-    and predicted g2(0) < 0.5 there (the usual sub-Poissonian bar; a c2g dip
-    where the one-photon amplitude dies even faster is not blockade).  The hyperbola point itself is appended as
-    a CPB root when it falls inside the interval, so the result covers both
-    blockade flavors.
+    minimum counts only if it is a genuine dip: |c2g| below its value 5 gamma
+    away on both sides by more than the relative depth ``_MIN_DIP``.  A dip
+    within 0.5 gamma of the CPB hyperbola (against the other, fixed detuning)
+    is labeled CPB.  Otherwise it counts as UCPB only if it actually blocks:
+    predicted g2(0) < 0.5 there (the usual sub-Poissonian bar; a c2g dip
+    where the one-photon amplitude dies even faster is not blockade).  The
+    hyperbola point itself is appended as a CPB root when it falls inside
+    the interval, so the result covers both blockade flavors.
     """
     from scipy.optimize import minimize_scalar  # only this scan needs SciPy
 
@@ -297,12 +297,12 @@ def ucpb_roots(params: ModelParams, free: str,
                               options={"xatol": 1e-4 * gamma})
         x_min = float(res.x)
         residual = math.sqrt(float(res.fun))
-        if cpb_value is not None and abs(x_min - cpb_value) <= 0.5 * gamma:
-            roots.append(ConditionRoot(free, x_min, residual, "CPB"))
-            continue
         background = min(_c2g_magnitude(params, free, x_min - 5.0 * gamma),
                          _c2g_magnitude(params, free, x_min + 5.0 * gamma))
         if residual >= (1.0 - _MIN_DIP) * background:
+            continue
+        if cpb_value is not None and abs(x_min - cpb_value) <= 0.5 * gamma:
+            roots.append(ConditionRoot(free, x_min, residual, "CPB"))
             continue
         # shape (1,), not 0-d, whose loops round differently: the bits of a grid cell
         at_root = weak_drive_grid(**{**vars(params), free: [x_min]})

@@ -15,8 +15,8 @@ import numpy as np
 
 from .analytic import failure_error, ucpb_roots, weak_drive_grid
 from .errors import BlockadeError, CutoffConvergenceError, UndefinedCorrelationError
-from .model import HilbertSpace, ModelParams, bimode_limit, jc_limit
-from .steady_state import MAX_CUTOFF, SteadyStateResult, converged_solve, solve_steady_state
+from .model import ModelParams
+from .steady_state import MAX_CUTOFF, SteadyStateResult, converged_solve, steady_state_grid
 
 __all__ = ["main"]
 
@@ -140,63 +140,41 @@ def _params_from_args(args) -> ModelParams:
         raise _UsageError(str(exc))
 
 
-def _numeric(args, limit=lambda params: params):
-    """Numeric engine: one solve per point of ``limit(params)`` at --cutoff, or the
-    rising-cutoff ladder."""
-    def evaluate(fields: dict) -> tuple:
-        n = len(fields["delta"])
-        g2, n_a, residual = np.full(n, math.nan), np.full(n, math.nan), np.full(n, math.nan)
-        cutoff_used = np.full(n, args.cutoff)
-        failure = [None] * n
-        for i, values in enumerate(zip(*(v.tolist() for v in fields.values()))):
-            params = limit(ModelParams(**dict(zip(fields, values))))
-            try:
-                if args.converge_tol is None:
-                    res = solve_steady_state(params, HilbertSpace(args.cutoff))
-                else:
-                    res = converged_solve(params, initial_cutoff=args.cutoff,
-                                          rel_tol=args.converge_tol)
-            except BlockadeError as exc:
-                failure[i] = exc
-            else:
-                g2[i], n_a[i], cutoff_used[i], residual[i] = (
-                    res.g2_zero, res.n_a, res.cutoff_used, res.residual)
-        return g2, n_a, cutoff_used, residual, failure
-    return evaluate
+def _numeric(args, fields: dict) -> tuple:
+    """Numeric engine: one solve per point at --cutoff, or the rising-cutoff ladder."""
+    return steady_state_grid(args.cutoff, args.converge_tol, **fields)
 
 
-def _analytic(args):
+def _analytic(args, fields: dict) -> tuple:
     """Weak-drive engine, one array evaluation for the whole grid; it has no
     cutoff or residual of its own."""
-    def evaluate(fields: dict) -> tuple:
-        grid = weak_drive_grid(**fields)
-        n_a = grid.n_a
-        failure = [None] * n_a.size
-        for i in np.flatnonzero(grid.n_a_failure | grid.g2_failure).tolist():
-            exc = failure_error(int(grid.n_a_failure[i] or grid.g2_failure[i]))
-            if not isinstance(exc, UndefinedCorrelationError):  # that leaves only g2 nan
-                failure[i], n_a[i] = exc, math.nan
-        return (grid.g2, n_a, np.full(n_a.size, args.cutoff), np.full(n_a.size, math.nan),
-                failure)
-    return evaluate
+    grid = weak_drive_grid(**fields)
+    n_a = grid.n_a
+    failure = [None] * n_a.size
+    for i in np.flatnonzero(grid.n_a_failure | grid.g2_failure).tolist():
+        exc = failure_error(int(grid.n_a_failure[i] or grid.g2_failure[i]))
+        if not isinstance(exc, UndefinedCorrelationError):  # that leaves only g2 nan
+            failure[i], n_a[i] = exc, math.nan
+    return grid.g2, n_a, np.full(n_a.size, args.cutoff), np.full(n_a.size, math.nan), failure
 
 
 def cmd_grid(args) -> int:
     """point, sweep, sweep2d, compare: one CSV row per grid point.
 
     Every column evaluates the whole grid to arrays (g2, n_a, cutoff_used,
-    residual) and a list of per-point failures (None or the BlockadeError).
+    residual) and a sequence of per-point failures (None or the BlockadeError).
     A failing point holds nan cells, and the first failing column in output
     order sets its status; ``point`` (no axes) exits 3 on it instead.
     """
     base = _params_from_args(args)
     if args.command == "compare":
-        columns = [("composite", _numeric(args)), ("jc", _numeric(args, jc_limit)),
-                   ("bimode", _numeric(args, bimode_limit))]
+        # the U = 0 (J-C) and g = 0 (bimode) limits override one field each
+        columns = [("composite", _numeric, {}), ("jc", _numeric, {"U": 0.0}),
+                   ("bimode", _numeric, {"g": 0.0})]
         info = []
     else:
         engines = {"numeric": _numeric, "analytic": _analytic}
-        columns = [(e, engines[e](args)) for e in _parse_engines(args.engines)]
+        columns = [(e, engines[e], {}) for e in _parse_engines(args.engines)]
         info = ["cutoff_used", "residual"]
     axes = [_parse_axis(getattr(args, flag))
             for flag in _SUBCOMMANDS[args.command][2] if flag.startswith("axis")]
@@ -204,7 +182,7 @@ def cmd_grid(args) -> int:
     if len(set(names)) < len(names):
         raise _UsageError(f"axis and axis2 must differ, both are {names[0]!r}")
     n = _grid_size(axes)
-    labels = [label for label, _ in columns]
+    labels = [label for label, *_ in columns]
     header = (names + [f"g2_{x}" for x in labels] + [f"n_a_{x}" for x in labels]
               + info + ["status"])
     code = _write_gnuplot(args, header, two_d=len(axes) == 2) if axes else 0
@@ -215,7 +193,7 @@ def cmd_grid(args) -> int:
         *(np.linspace(start, stop, steps) for _, start, stop, steps in axes), indexing="ij")]
     fields = {k: np.full(n, v) for k, v in vars(base).items()}
     fields.update(zip(names, coords))
-    outs = [evaluate(fields) for _, evaluate in columns]
+    outs = [evaluate(args, {**fields, **override}) for _, evaluate, override in columns]
     if not axes:
         for label, (*_, failure) in zip(labels, outs):
             if failure[0] is not None:

@@ -29,7 +29,6 @@ H^T (x) I.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,9 +42,7 @@ if TYPE_CHECKING:
 __all__ = [
     "HilbertSpace",
     "ModelParams",
-    "bimode_limit",
     "build_liouvillian",
-    "jc_limit",
 ]
 
 
@@ -95,16 +92,6 @@ class ModelParams:
             raise ValueError("decay rates kappa, gamma must be nonnegative")
         if self.g < 0 or self.E < 0 or self.U < 0:
             raise ValueError("g, E, U must be nonnegative")
-
-
-def jc_limit(params: ModelParams) -> ModelParams:
-    """Same model with the two-photon drive switched off (U = 0)."""
-    return dataclasses.replace(params, U=0.0)
-
-
-def bimode_limit(params: ModelParams) -> ModelParams:
-    """Same model with the dot decoupled (g = 0)."""
-    return dataclasses.replace(params, g=0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -20,10 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    BlockadeError,
     CutoffConvergenceError,
     DegenerateSteadyStateError,
     SingularSystemError,
@@ -32,9 +34,11 @@ from .errors import (
 from .model import HilbertSpace, ModelParams, _generator_parts, build_liouvillian
 
 __all__ = [
+    "SteadyStateGrid",
     "SteadyStateResult",
     "converged_solve",
     "solve_steady_state",
+    "steady_state_grid",
 ]
 
 RESIDUAL_TOL = 1e-9
@@ -192,3 +196,41 @@ def converged_solve(params: ModelParams, initial_cutoff: int = 4, rel_tol: float
     raise CutoffConvergenceError(
         f"observables not settled to rel_tol={rel_tol:g} by cutoff {MAX_CUTOFF}"
     )
+
+
+class SteadyStateGrid(NamedTuple):
+    """The results of :func:`steady_state_grid`, in the broadcast shape.  A failed
+    cell holds nan, the first cutoff tried in ``cutoff_used`` and its BlockadeError
+    in ``failure``, which is None where the solve succeeded."""
+
+    g2: np.ndarray
+    n_a: np.ndarray
+    cutoff_used: np.ndarray
+    residual: np.ndarray
+    failure: np.ndarray
+
+
+def steady_state_grid(cutoff: int, rel_tol: float | None = None, **fields) -> SteadyStateGrid:
+    """The steady state at every cell of broadcast parameters, one solve per cell.
+
+    ``fields`` are fields of :class:`ModelParams`, numbers or arrays broadcast as in
+    ``weak_drive_grid``.  Each cell is solved at ``cutoff``, or with ``rel_tol`` by the
+    :func:`converged_solve` ladder from it; a BlockadeError fails its cell only.
+    """
+    fields = {**vars(ModelParams()), **fields}
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in fields.values()))
+    shape = arrays[0].shape
+    out = SteadyStateGrid(*(np.full(shape, v) for v in (math.nan, math.nan, cutoff, math.nan)),
+                          np.full(shape, None, dtype=object))
+    space = HilbertSpace(cutoff)
+    for i, values in enumerate(zip(*(a.ravel().tolist() for a in arrays))):
+        params = ModelParams(**dict(zip(fields, values)))
+        try:
+            res = (solve_steady_state(params, space) if rel_tol is None else
+                   converged_solve(params, initial_cutoff=cutoff, rel_tol=rel_tol))
+        except BlockadeError as exc:
+            out.failure.flat[i] = exc
+        else:
+            out.g2.flat[i], out.n_a.flat[i], out.cutoff_used.flat[i], out.residual.flat[i] = (
+                res.g2_zero, res.n_a, res.cutoff_used, res.residual)
+    return out

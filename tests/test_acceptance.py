@@ -17,11 +17,11 @@ import analytic_oracle
 from conftest import record_criterion
 from qdblockade.analytic import weak_drive_grid
 from qdblockade.errors import SingularSystemError
-from qdblockade.model import HilbertSpace, ModelParams, bimode_limit, jc_limit
-from qdblockade.steady_state import solve_steady_state
+from qdblockade.model import HilbertSpace, ModelParams
+from qdblockade.steady_state import solve_steady_state, steady_state_grid
 
 SPACE = HilbertSpace(8)
-SPACE_CHECK = HilbertSpace(12)
+CUTOFF_CHECK = 12
 
 REF = ModelParams(delta=-20.0, delta_a=-20.0, g=20.0, E=0.1, U=0.0005)
 BIMODE = ModelParams(delta=30.0, delta_a=20.0, g=0.0, E=0.1, U=0.0005)
@@ -102,7 +102,7 @@ def model_cuts():
     """Cavity-detuning cut at delta = 30 for the three model variants."""
     axis = np.arange(0.0, 60.0 + 0.125, 0.25)
     base = replace(REF, delta=30.0)
-    variants = {"composite": base, "jc": jc_limit(base), "bimode": bimode_limit(base)}
+    variants = {"composite": base, "jc": replace(base, U=0.0), "bimode": replace(base, g=0.0)}
     out = {}
     for name, p0 in variants.items():
         g2 = np.empty(axis.size)
@@ -264,7 +264,7 @@ def test_criterion_8_mean_photon_gain_invariance(model_cuts):
     worst_at = float(axis[int(np.argmax(rel))])
     base = replace(REF, delta=30.0)
     with_gain = weak_drive_grid(**{**vars(base), "delta_a": axis})
-    without = weak_drive_grid(**{**vars(jc_limit(base)), "delta_a": axis})
+    without = weak_drive_grid(**{**vars(base), "U": 0.0, "delta_a": axis})
     assert not (with_gain.n_a_failure.any() or without.n_a_failure.any())
     exact = bool(np.array_equal(with_gain.n_a, without.n_a))
     ok = worst < 0.01 and exact
@@ -307,9 +307,8 @@ def test_criterion_10_truncation_robustness(
     base = replace(REF, delta=30.0)
     jc_i = int(np.nanargmin(cuts["jc"][0]))
     bm_i = int(np.nanargmin(cuts["bimode"][0]))
-    points.append((jc_limit(replace(base, delta_a=float(axis[jc_i]))),
-                   float(cuts["jc"][0][jc_i])))
-    points.append((bimode_limit(replace(base, delta_a=float(axis[bm_i]))),
+    points.append((replace(base, delta_a=float(axis[jc_i]), U=0.0), float(cuts["jc"][0][jc_i])))
+    points.append((replace(base, delta_a=float(axis[bm_i]), g=0.0),
                    float(cuts["bimode"][0][bm_i])))
     for x, y in _local_minima(axis, cuts["composite"][0], 0.1):
         points.append((replace(base, delta_a=x), y))
@@ -317,10 +316,11 @@ def test_criterion_10_truncation_robustness(
         for x, y in _local_minima(xs, ys, 0.1):
             points.append((replace(REF, delta=x, delta_a=da), y))
 
-    worst = 0.0
-    for params, coarse in points:
-        fine = solve_steady_state(params, SPACE_CHECK).g2_zero
-        worst = max(worst, abs(fine - coarse) / abs(coarse))
+    fine = steady_state_grid(CUTOFF_CHECK,
+                             **{k: [getattr(p, k) for p, _ in points] for k in vars(REF)})
+    assert not any(fine.failure)
+    coarse = np.array([y for _, y in points])
+    worst = float(np.max(np.abs(fine.g2 - coarse) / np.abs(coarse)))
     ok = worst < 1e-6
     record_criterion(10, desc, ok, f"{len(points)} points; worst rel change {worst:.1e}")
     assert ok, f"worst={worst}"

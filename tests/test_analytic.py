@@ -9,12 +9,11 @@ import pytest
 import analytic_oracle
 from qdblockade import (
     BlockadeError,
-    HilbertSpace,
     ModelParams,
     SingularSystemError,
     UndefinedCorrelationError,
     cpb_partner_detuning,
-    solve_steady_state,
+    steady_state_grid,
     ucpb_roots,
     weak_drive_grid,
 )
@@ -226,6 +225,10 @@ def test_roots_bimode_limit():
     # without the dot |c2g| does not depend on delta: its rounding dips are no roots
     flat = ModelParams(delta_a=20.0, g=0.0, E=0.1, U=0.0005)
     assert ucpb_roots(flat, "delta", (-60.0, 60.0)) == []
+    # nor CPB roots, with a dot so weak that |c2g| is as flat near the hyperbola
+    weak = dataclasses.replace(flat, g=1e-9)
+    [root] = ucpb_roots(weak, "delta", (-60.0, 60.0))
+    assert (root.kind, root.value) == ("CPB", weak.g**2 / weak.delta_a)
 
 
 def test_roots_jc_limit_satisfy_real_part_condition():
@@ -276,11 +279,10 @@ def test_mean_photon_has_no_u_dependence():
 def test_mean_photon_matches_steady_state():
     # the leftover defect is ground-state depletion, second order in the
     # drive: measured 5.3% at E=0.1 on the trough and 4x smaller at E=0.05
-    defects = []
-    for E in (0.1, 0.05):
-        p = ModelParams(delta=30.0, delta_a=13.3, g=20.0, E=E, U=0.0005)
-        numeric = solve_steady_state(p, HilbertSpace(8)).n_a
-        defects.append(abs(numeric - _at(p).n_a) / numeric)
+    fields = dict(delta=30.0, delta_a=13.3, g=20.0, E=[0.1, 0.05], U=0.0005)
+    exact = steady_state_grid(8, **fields)
+    assert not any(exact.failure)
+    defects = np.abs(exact.n_a - weak_drive_grid(**fields).n_a) / exact.n_a
     assert defects[0] < 0.06
     assert defects[1] < 0.3 * defects[0]
 

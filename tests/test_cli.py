@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import qdblockade
-from qdblockade import CutoffConvergenceError, cli
+from qdblockade import CutoffConvergenceError, cli, steady_state
 from qdblockade.cli import main
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{8}e[+-]\d{2,3}$")
@@ -101,24 +101,21 @@ def test_usage_errors_exit_1(capsys, monkeypatch, argv):
     # refused before any solve: a nan tolerance would otherwise climb to cutoff 40
     def no_solve(*args, **kwargs):
         raise AssertionError("solver reached")
-    monkeypatch.setattr(cli, "solve_steady_state", no_solve)
+    monkeypatch.setattr(cli, "steady_state_grid", no_solve)
     monkeypatch.setattr(cli, "converged_solve", no_solve)
     code, _, err = run(capsys, argv)
     assert code == 1
     assert len(err.splitlines()) == 1
 
 
-def test_point_hides_hierarchy_warning(capsys, recwarn, monkeypatch):
-    # at E = 5 the weak-drive expansion is far outside its domain
-    code, _, _ = run(capsys, ["point", "--E", "5", "--engines", "analytic"])
-    assert code == 0
-    assert not [w for w in recwarn if "hierarchy" in str(w.message)]
-    # a sweep that crosses from inside the domain to far outside it
+def test_analytic_sweep_outside_domain_reads_ok_and_passes_warnings(capsys, recwarn,
+                                                                   monkeypatch):
+    # a sweep that crosses from inside the weak-drive domain to far outside it
+    # (E = 5) still evaluates every row
     code, out, _ = run(capsys, ["sweep", "--axis", "E:0.1:5:4", "--engines", "analytic"])
     assert code == 0
     assert [r["status"] for r in parse_csv(out)[1]] == ["ok"] * 4
-    assert not [w for w in recwarn if "hierarchy" in str(w.message)]
-    # any other warning raised while evaluating the grid still gets through
+    # a warning raised while evaluating the grid reaches the caller
     weak_drive_grid = cli.weak_drive_grid
 
     def noisy(**fields):
@@ -160,7 +157,8 @@ def test_first_failing_column_sets_status(capsys):
 def test_unsettled_ladder_reads_no_converge(capsys, monkeypatch):
     def never_settles(*args, **kwargs):
         raise CutoffConvergenceError("observables not settled")
-    monkeypatch.setattr(cli, "converged_solve", never_settles)
+    # the binding that steady_state_grid's ladder calls
+    monkeypatch.setattr(steady_state, "converged_solve", never_settles)
     tol = ["--converge-tol", "1e-6", "--E", "0.1", "--axis", "delta:0:1:2"]
     for argv in (["sweep", *tol], ["compare", *tol]):
         code, out, _ = run(capsys, argv)
@@ -278,20 +276,22 @@ def test_sweep2d_is_second_axis_major(capsys):
 
 
 def test_compare_jc_column_matches_direct_sweep(capsys):
-    base = ["--delta", "30", "--g", "20", "--E", "0.1", "--cutoff", "8"]
-    code, cmp_out, _ = run(capsys, ["compare", *base, "--U", "0.0005",
-                                    "--axis", "delta_a:10:16:13"])
-    assert code == 0
-    code, sweep_out, _ = run(capsys, ["sweep", *base, "--U", "0",
-                                      "--engines", "numeric",
-                                      "--axis", "delta_a:10:16:13"])
+    # the jc (U = 0) and bimode (g = 0) columns are the composite model's
+    # sweep with that field set to zero
+    base = ["--delta", "30", "--E", "0.1", "--cutoff", "8", "--axis", "delta_a:10:16:13"]
+    composite = ["--g", "20", "--U", "0.0005"]
+    code, cmp_out, _ = run(capsys, ["compare", *base, *composite])
     assert code == 0
     _, cmp_rows = parse_csv(cmp_out)
-    _, sweep_rows = parse_csv(sweep_out)
-    assert len(cmp_rows) == len(sweep_rows) == 13
-    for c, s in zip(cmp_rows, sweep_rows):
-        assert c["g2_jc"] == s["g2_numeric"]
-        assert c["n_a_jc"] == s["n_a_numeric"]
+    for label, limit in (("jc", ["--g", "20", "--U", "0"]),
+                         ("bimode", ["--g", "0", "--U", "0.0005"])):
+        code, sweep_out, _ = run(capsys, ["sweep", *base, *limit, "--engines", "numeric"])
+        assert code == 0
+        _, sweep_rows = parse_csv(sweep_out)
+        assert len(cmp_rows) == len(sweep_rows) == 13
+        for c, s in zip(cmp_rows, sweep_rows):
+            assert c[f"g2_{label}"] == s["g2_numeric"]
+            assert c[f"n_a_{label}"] == s["n_a_numeric"]
 
 
 def test_compare_reports_three_models(capsys):

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qdblockade import HilbertSpace, ModelParams, bimode_limit, build_liouvillian, jc_limit
+from qdblockade import HilbertSpace, ModelParams, build_liouvillian
 
 from dense_oracle import dense_liouvillian
 from fock_helpers import basis_index, basis_state, hamiltonian, identity, unvec, vec
@@ -122,8 +124,8 @@ def test_sparse_generator_equals_dense_kron_sum():
                             g=rng.uniform(0, 30), E=rng.uniform(0, 0.5),
                             U=rng.uniform(0, 0.01), kappa=rng.uniform(0.1, 3),
                             gamma=rng.uniform(0.1, 3))
-            # the limits zero one weight each, which leaves explicit zeros
-            for q in (p, jc_limit(p), bimode_limit(p), ModelParams()):
+            # the U = 0 and g = 0 limits zero one weight each, which leaves explicit zeros
+            for q in (p, replace(p, U=0.0), replace(p, g=0.0), ModelParams()):
                 liou = build_liouvillian(q, space)
                 assert sp.issparse(liou) and liou.format == "csc"
                 assert np.array_equal(liou.toarray(), dense_liouvillian(q, space))
@@ -136,14 +138,3 @@ def test_dark_state_is_stationary_without_drives():
     rho0 = vec(outer(basis_state(space, 0, 0)))
     assert np.max(np.abs(liou @ rho0)) < 1e-12
 
-
-def test_limits_strip_one_drive_each():
-    p = ModelParams(delta=30, delta_a=20, g=20, E=0.1, U=0.0005, kappa=1.3)
-    jc = jc_limit(p)
-    assert jc.U == 0.0
-    assert (jc.delta, jc.delta_a, jc.g, jc.E, jc.kappa) == (30, 20, 20, 0.1, 1.3)
-    bi = bimode_limit(p)
-    assert bi.g == 0.0
-    assert (bi.delta, bi.delta_a, bi.E, bi.U, bi.kappa) == (30, 20, 0.1, 0.0005, 1.3)
-    empty = bimode_limit(jc_limit(p))
-    assert empty.g == 0.0 and empty.U == 0.0

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 
 from qdblockade import (
+    BlockadeError,
     CutoffConvergenceError,
     DegenerateSteadyStateError,
     HilbertSpace,
@@ -17,6 +17,7 @@ from qdblockade import (
     converged_solve,
     solve_steady_state,
     steady_state,
+    steady_state_grid,
 )
 from qdblockade.analytic import weak_drive_grid
 
@@ -213,13 +214,13 @@ def test_weak_drive_g2_agreement_on_reference_cuts():
     # (mismatch extends ~2 gamma, measured 0.35 decades at 1 gamma), and (b)
     # dot-shielding dark spots where the two-photon occupation overtakes the
     # one-photon one and the truncation leaves its domain
-    space = HilbertSpace(8)
     deltas = np.arange(-60.0, 60.0 + 1e-9, 0.5)
     for da in (-20.0, 20.0, 30.0):
-        base = ModelParams(delta_a=da, g=20.0, E=0.1, U=0.0005)
-        num = np.array([solve_steady_state(dataclasses.replace(base, delta=float(d)),
-                                           space).g2_zero for d in deltas])
-        grid = weak_drive_grid(**{**vars(base), "delta": deltas})
+        fields = dict(delta=deltas, delta_a=da, g=20.0, E=0.1, U=0.0005)
+        exact = steady_state_grid(8, **fields)
+        assert not any(exact.failure)
+        num = exact.g2
+        grid = weak_drive_grid(**fields)
         assert not (grid.g2_failure.any() or grid.n_a_failure.any())
         ana = grid.g2
         # two-photon vs one-photon occupation ratio; the expansion is only
@@ -239,40 +240,31 @@ def test_mean_photon_agreement_improves_with_weaker_drive():
     # residual disagreement is mostly ground-state depletion, second order in
     # E: measured 8.2% worst-case at E=0.1 and 3.9% at E=0.05 over this axis
     # (the fixed two-photon drive keeps the shrinkage short of quadratic)
-    space = HilbertSpace(8)
     axis = np.arange(0.0, 60.0 + 1e-9, 0.5)
     worst = []
     for E in (0.1, 0.05):
-        base = ModelParams(delta=30.0, g=20.0, E=E, U=0.0005)
-        grid = weak_drive_grid(**{**vars(base), "delta_a": axis})
+        fields = dict(delta=30.0, delta_a=axis, g=20.0, E=E, U=0.0005)
+        grid = weak_drive_grid(**fields)
         assert not grid.n_a_failure.any()
-        defect = 0.0
-        for da, ana in zip(axis, grid.n_a):
-            num = solve_steady_state(dataclasses.replace(base, delta_a=float(da)), space).n_a
-            defect = max(defect, abs(num - ana) / num)
-        worst.append(defect)
+        exact = steady_state_grid(8, **fields)
+        assert not any(exact.failure)
+        worst.append(np.max(np.abs(exact.n_a - grid.n_a) / exact.n_a))
     assert worst[0] < 0.09
     assert worst[1] < 0.6 * worst[0]
 
 
 def test_mean_photon_insensitive_to_two_photon_drive():
-    space = HilbertSpace(8)
-    for da in (5.0, 400.0 / 30.0, 20.0, 37.3, 50.0):
-        with_u = solve_steady_state(
-            ModelParams(delta=30.0, delta_a=da, g=20.0, E=0.1, U=0.0005), space)
-        without = solve_steady_state(
-            ModelParams(delta=30.0, delta_a=da, g=20.0, E=0.1, U=0.0), space)
-        assert abs(with_u.n_a - without.n_a) / without.n_a < 0.01
-
-    # the one exception on this cut: at delta_a (delta + delta_a) = g^2 the
-    # gain pumps a two-photon dressed state resonantly and photon loss feeds
-    # the extra pairs back into the one-photon sector, so n_a does shift
-    with_u = solve_steady_state(
-        ModelParams(delta=30.0, delta_a=10.0, g=20.0, E=0.1, U=0.0005), space)
-    without = solve_steady_state(
-        ModelParams(delta=30.0, delta_a=10.0, g=20.0, E=0.1, U=0.0), space)
-    shift = abs(with_u.n_a - without.n_a) / without.n_a
-    assert 0.01 < shift < 0.05
+    # rows: with and without the two-photon drive; the last column is the one
+    # exception on this cut: at delta_a (delta + delta_a) = g^2 the gain pumps
+    # a two-photon dressed state resonantly and photon loss feeds the extra
+    # pairs back into the one-photon sector, so n_a does shift
+    exact = steady_state_grid(8, delta=30.0, delta_a=[5.0, 400.0 / 30.0, 20.0, 37.3, 50.0, 10.0],
+                              g=20.0, E=0.1, U=[[0.0005], [0.0]])
+    assert not any(exact.failure.flat)
+    with_u, without = exact.n_a
+    shift = np.abs(with_u - without) / without
+    assert (shift[:-1] < 0.01).all()
+    assert 0.01 < shift[-1] < 0.05
 
 
 def test_cutoff_invariance_at_weak_drive():
@@ -284,16 +276,47 @@ def test_cutoff_invariance_at_weak_drive():
 def test_far_detuned_tail_flattens():
     # past the interference dip the cut levels off: successive 5-gamma steps
     # shrink (the approach is ~g^2/delta, so it is gradual, not a plateau)
-    space = HilbertSpace(8)
-    vals = {}
-    for d in (-45.0, -50.0, -55.0, -60.0):
-        p = ModelParams(delta=d, delta_a=20.0, g=20.0, E=0.1, U=0.0005)
-        vals[d] = solve_steady_state(p, space).g2_zero
-    steps = [abs(vals[-50.0] - vals[-45.0]) / vals[-45.0],
-             abs(vals[-55.0] - vals[-50.0]) / vals[-50.0],
-             abs(vals[-60.0] - vals[-55.0]) / vals[-55.0]]
+    exact = steady_state_grid(8, delta=[-45.0, -50.0, -55.0, -60.0], delta_a=20.0, g=20.0,
+                              E=0.1, U=0.0005)
+    assert not any(exact.failure)
+    vals = exact.g2
+    steps = np.abs(np.diff(vals)) / vals[:-1]
     assert steps[0] > steps[1] > steps[2]
     assert steps[2] < 0.2
+
+
+def test_grid_matches_per_point_solves():
+    # rows: the reference drives, no drive (a dark state) and an overflowing
+    # one; columns: the reference point, a lossless one and two detuned ones
+    fields = dict(delta=[-20.0, 1.0, 30.0, 5.0], delta_a=-20.0, g=20.0,
+                  E=[[0.1], [0.0], [1e308]], U=[[0.0005], [0.0], [0.0005]],
+                  kappa=[1.0, 0.0, 1.0, 1.0], gamma=[1.0, 0.0, 1.0, 1.0])
+    cells = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in fields.values()))
+    for rel_tol in (None, 1e-6):
+        grid = steady_state_grid(4, rel_tol, **fields)
+        # g2, n_a, cutoff_used, residual as a plain loop of solves fills them
+        expected = [np.full((3, 4), math.nan), np.full((3, 4), math.nan), np.full((3, 4), 4),
+                    np.full((3, 4), math.nan)]
+        for index in np.ndindex(3, 4):
+            p = ModelParams(**{k: float(c[index]) for k, c in zip(fields, cells)})
+            try:
+                res = (solve_steady_state(p, HilbertSpace(4)) if rel_tol is None
+                       else converged_solve(p, initial_cutoff=4, rel_tol=rel_tol))
+            except BlockadeError as exc:
+                assert type(grid.failure[index]) is type(exc)
+            else:
+                assert grid.failure[index] is None
+                for arr, value in zip(expected, (res.g2_zero, res.n_a, res.cutoff_used,
+                                                 res.residual)):
+                    arr[index] = value
+        for got, want in zip(grid[:4], expected):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want, equal_nan=True)
+        assert grid.g2[0, 0] == pytest.approx(0.0232, rel=0.01)
+        assert grid.failure[1, 0] is None and math.isnan(grid.g2[1, 0])
+        assert isinstance(grid.failure[2, 0], SingularSystemError)
+        assert isinstance(grid.failure[1, 1], DegenerateSteadyStateError)
+    assert grid.cutoff_used[0, 0] == 8  # the ladder settles one rung above 4
 
 
 def test_converged_solve_settles_quickly_at_weak_drive():
