@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -305,6 +306,11 @@ def _build_parser() -> tuple[_Parser, dict]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # SciPy's BLAS, which SuperLU calls, loads after this (importing the package
+    # loads no SciPy).  steady_state_grid runs a factorization per CPU, and BLAS
+    # threads on top of those slow it below one CPU's pace; a set value still wins
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subs = _build_parser()
     try:

@@ -18,6 +18,7 @@ g2(0) = <a'a'aa> / n_a^2 with <a'a'aa> = sum n (n - 1) P(n).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -211,20 +212,30 @@ class SteadyStateGrid(NamedTuple):
 
 
 def steady_state_grid(cutoff: int, rel_tol: float | None = None, **fields) -> SteadyStateGrid:
-    """The steady state at every cell of broadcast parameters, one solve per cell.
+    """The steady state at every cell of broadcast parameters, solved on every CPU.
 
     ``fields`` are fields of :class:`ModelParams`, numbers or arrays broadcast as in
     ``weak_drive_grid``.  Each cell is solved at ``cutoff``, or with ``rel_tol`` by the
     :func:`converged_solve` ladder from it; a BlockadeError fails its cell only.
+
+    Cells are solved on one thread per CPU the process may use, as SuperLU releases
+    the GIL while it factors; any other exception stops them after their current
+    solve and is raised.  Set ``OPENBLAS_NUM_THREADS=1`` before SciPy loads, as the
+    CLI does: with BLAS threads inside each factorization the threads lose to one CPU.
     """
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
     fields = {**vars(ModelParams()), **fields}
     arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in fields.values()))
     shape = arrays[0].shape
     out = SteadyStateGrid(*(np.full(shape, v) for v in (math.nan, math.nan, cutoff, math.nan)),
                           np.full(shape, None, dtype=object))
+    cells = out.g2.size
     space = HilbertSpace(cutoff)
-    for i, values in enumerate(zip(*(a.ravel().tolist() for a in arrays))):
-        params = ModelParams(**dict(zip(fields, values)))
+
+    def solve(i: int) -> None:
+        params = ModelParams(**{name: float(a.flat[i]) for name, a in zip(fields, arrays)})
         try:
             res = (solve_steady_state(params, space) if rel_tol is None else
                    converged_solve(params, initial_cutoff=cutoff, rel_tol=rel_tol))
@@ -233,4 +244,32 @@ def steady_state_grid(cutoff: int, rel_tol: float | None = None, **fields) -> St
         else:
             out.g2.flat[i], out.n_a.flat[i], out.cutoff_used.flat[i], out.residual.flat[i] = (
                 res.g2_zero, res.n_a, res.cutoff_used, res.residual)
+
+    if cells:
+        solve(0)  # fills the per-cutoff caches before any thread starts
+    if cells < 2:
+        return out
+    # two ladder cells that first reach a cutoff together may both fill its
+    # lru_caches; the results are equal read-only arrays, so no lock is needed
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cells - 1, cpus)
+    stop = threading.Event()
+
+    def work(first: int) -> None:
+        try:
+            for i in range(first, cells, workers):
+                if stop.is_set():
+                    return
+                solve(i)
+        except BaseException:
+            stop.set()
+            raise
+
+    with ThreadPoolExecutor(workers) as pool:
+        try:  # an interrupt, even between two submits, ends the threads after their solve
+            for future in [pool.submit(work, first) for first in range(1, workers + 1)]:
+                future.result()
+        finally:
+            stop.set()
     return out

@@ -416,6 +416,21 @@ def test_point_at_top_cutoff_stays_small():
     assert peak_bytes < 200e6
 
 
+def test_sweep_at_top_cutoff_grows_by_one_factorization_per_worker():
+    # the grid solves on every CPU, so each worker holds a cutoff-40 factorization
+    proc, peak_bytes = run_measuring_peak(["sweep", "--axis", "delta:-30:30:6", *REF_ARGS[2:],
+                                           "--cutoff", "40", "--engines", "numeric"],
+                                          timeout=300)
+    assert proc.returncode == 0
+    _, rows = parse_csv(proc.stdout)
+    assert [row["status"] for row in rows] == ["ok"] * 6
+    # cell 0 is solved alone, then min(5, CPUs) workers share the other 5.  With
+    # 2 workers: measured VmHWM 166,296-168,156 kB, against 118,984-119,196 kB
+    # when the cells were solved one after another
+    workers = min(5, len(os.sched_getaffinity(0)))
+    assert peak_bytes < 140e6 + 60e6 * (workers - 1)
+
+
 def test_degenerate_point_at_top_cutoff_stays_small():
     # a lossless point has no unique steady state; refusing it must not
     # densify the 6724 x 6724 generator (723 MB dense, more than 2 GB for an SVD)

@@ -48,3 +48,19 @@ def test_numeric_point_loads_the_sparse_solver():
                                   "--engines", "numeric"])
     assert code == 0
     assert "scipy.sparse.linalg" in modules
+
+
+@pytest.mark.parametrize("threads, printed", [(None, "1"), ("2", "2")])
+def test_cli_gives_scipys_blas_one_thread_unless_told(threads, printed):
+    # a numeric point loads SciPy's BLAS inside main; the environment it read
+    # at load is the one main leaves behind
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    code = ("import os; from qdblockade.cli import main; code = main(); "
+            "print(code, os.environ.get('OPENBLAS_NUM_THREADS'))")
+    proc = subprocess.run([sys.executable, "-c", code, "point", "--E", "0.1", "--cutoff", "4",
+                           "--engines", "numeric"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.stdout.splitlines()[-1].split() == ["0", printed]

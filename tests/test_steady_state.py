@@ -1,7 +1,9 @@
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from qdblockade import (
     ModelParams,
     SingularSystemError,
     converged_solve,
+    model,
     solve_steady_state,
     steady_state,
     steady_state_grid,
@@ -286,18 +289,29 @@ def test_far_detuned_tail_flattens():
 
 
 def test_grid_matches_per_point_solves():
-    # rows: the reference drives, no drive (a dark state) and an overflowing
-    # one; columns: the reference point, a lossless one and two detuned ones
-    fields = dict(delta=[-20.0, 1.0, 30.0, 5.0], delta_a=-20.0, g=20.0,
-                  E=[[0.1], [0.0], [1e308]], U=[[0.0005], [0.0], [0.0005]],
+    # rows: the reference drives, no drive (a dark state), an overflowing one and
+    # a strong one; columns: the reference point, a lossless one and two detuned
+    # ones.  The strong cells (3, 0) and (3, 3) are resonant (E = 2, delta =
+    # delta_a = 0), and their ladders climb to cutoff 20 beside cells that settle at 8
+    strong = np.zeros((4, 4), dtype=bool)
+    strong[3, [0, 3]] = True
+    fields = dict(delta=np.where(strong, 0.0, [-20.0, 1.0, 30.0, 5.0]),
+                  delta_a=np.where(strong, 0.0, -20.0), g=20.0,
+                  E=np.where(strong, 2.0, [[0.1], [0.0], [1e308], [0.1]]),
+                  U=[[0.0005], [0.0], [0.0005], [0.0005]],
                   kappa=[1.0, 0.0, 1.0, 1.0], gamma=[1.0, 0.0, 1.0, 1.0])
     cells = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in fields.values()))
     for rel_tol in (None, 1e-6):
+        # empty caches, so that the grid's threads fill those of cutoffs 12-20: on
+        # a 2-CPU machine 2 workers share cells 1-15 and take the strong cells
+        # 12 and 15 side by side
+        model._generator_parts.cache_clear()
+        steady_state._ordered_system.cache_clear()
         grid = steady_state_grid(4, rel_tol, **fields)
         # g2, n_a, cutoff_used, residual as a plain loop of solves fills them
-        expected = [np.full((3, 4), math.nan), np.full((3, 4), math.nan), np.full((3, 4), 4),
-                    np.full((3, 4), math.nan)]
-        for index in np.ndindex(3, 4):
+        expected = [np.full((4, 4), math.nan), np.full((4, 4), math.nan), np.full((4, 4), 4),
+                    np.full((4, 4), math.nan)]
+        for index in np.ndindex(4, 4):
             p = ModelParams(**{k: float(c[index]) for k, c in zip(fields, cells)})
             try:
                 res = (solve_steady_state(p, HilbertSpace(4)) if rel_tol is None
@@ -317,6 +331,36 @@ def test_grid_matches_per_point_solves():
         assert isinstance(grid.failure[2, 0], SingularSystemError)
         assert isinstance(grid.failure[1, 1], DegenerateSteadyStateError)
     assert grid.cutoff_used[0, 0] == 8  # the ladder settles one rung above 4
+    assert list(grid.cutoff_used[3]) == [20, 4, 8, 20]
+
+
+@pytest.mark.parametrize("g, error", [
+    ([20.0, -1.0] + [20.0] * 398, ValueError),  # ModelParams refuses cell 1 in a worker
+    (20.0, KeyboardInterrupt),  # a Ctrl-C reaches the caller during cell 9's solve
+])
+def test_an_error_stops_the_grid(monkeypatch, g, error):
+    # the grid raises what a loop over the cells raises, once every thread has
+    # ended its current solve, instead of solving the cells left
+    main_thread = threading.main_thread().ident
+    solve = steady_state.solve_steady_state
+    solved = []
+
+    def solve_and_count(params, space):
+        solved.append(params.delta)
+        if error is KeyboardInterrupt and params.delta == 9.0:
+            signal.pthread_kill(main_thread, signal.SIGINT)
+        return solve(params, space)
+
+    monkeypatch.setattr(steady_state, "solve_steady_state", solve_and_count)
+    with pytest.raises(error, match="g, E, U must be nonnegative" if error is ValueError else None):
+        steady_state_grid(4, delta=np.arange(400.0), g=g, E=0.1)
+    assert len(solved) < 40
+
+
+def test_grid_with_an_empty_axis_is_empty():
+    grid = steady_state_grid(4, delta=np.zeros((0, 1)), delta_a=[1.0, 2.0, 3.0])
+    for arr in grid:
+        assert arr.shape == (0, 3)
 
 
 def test_converged_solve_settles_quickly_at_weak_drive():
