@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .errors import BlockadeError, SingularSystemError, UndefinedCorrelationError
 from .model import ModelParams
@@ -100,12 +101,6 @@ def failure_error(code: int) -> BlockadeError:
     return kind(message)
 
 
-def _raise_first(failure: np.ndarray) -> None:
-    bad = np.flatnonzero(failure)
-    if bad.size:
-        raise failure_error(int(failure.flat[bad[0]]))
-
-
 class _Complex:
     """A complex array as a pair of float arrays, with CPython's complex rounding.
 
@@ -180,6 +175,15 @@ def _first_failure(*checks: tuple[int, np.ndarray]) -> np.ndarray:
     return code
 
 
+def _c2g_parts(dp, dap, gg, E, U) -> tuple:
+    """s, d1, d2 and c2g's numerator and denominator, as _Complex arrays or polynomials."""
+    s = dap + dp
+    d1 = gg - dp * dap
+    d2 = dap * s - gg
+    num = E * E * (gg + dp * s) - U * (-d1) * s
+    return s, d1, d2, num, _SQRT2 * d2 * (-d1)
+
+
 @np.errstate(all="ignore")
 def weak_drive_grid(delta=0.0, delta_a=0.0, g=0.0, E=0.0, U=0.0, kappa=1.0,
                     gamma=1.0) -> WeakDriveGrid:
@@ -203,14 +207,9 @@ def weak_drive_grid(delta=0.0, delta_a=0.0, g=0.0, E=0.0, U=0.0, kappa=1.0,
         np.asarray(x, dtype=float) for x in (delta, delta_a, g, E, U, kappa, gamma))
     half_i = _Complex(0.0, 0.5)
     dp = delta - half_i * gamma
-    dap = delta_a - half_i * kappa
-    gg = g * g
-    s = dap + dp
-    d1 = gg - dp * dap
-    d2 = dap * s - gg
+    s, d1, d2, num, den = _c2g_parts(dp, delta_a - half_i * kappa, g * g, E, U)
     c1g = E * dp / d1
-    num = E * E * (gg + dp * s) - U * (-d1) * s
-    c2g = num / (_SQRT2 * d2 * (-d1))
+    c2g = num / den
     c0e = -g * c1g / dp
     c0e = _Complex(np.where(g == 0, 0.0, c0e.re), np.where(g == 0, 0.0, c0e.im))
     c1e = -(_SQRT2 * g * c2g + E * c0e) / s
@@ -246,77 +245,110 @@ def cpb_partner_detuning(known_detuning: float, g: float) -> float:
     return g * g / known_detuning
 
 
-def _c2g_magnitude(params: ModelParams, field: str, value) -> np.ndarray:
-    """|c2g| with ``field`` set to ``value``, a number or an array of them."""
-    grid = weak_drive_grid(**{**vars(params), field: value})
-    _raise_first(grid.amplitudes_failure)
-    return np.abs(grid.c2g)
+def _unit(f: Polynomial) -> Polynomial:
+    """``f`` with its largest coefficient part at 1, divided part by part: NumPy's
+    complex divide takes a reciprocal, which overflows for a subnormal divisor."""
+    m = np.abs([f.coef.real, f.coef.imag]).max() or 1.0
+    return Polynomial(f.coef.real / m + 1j * (f.coef.imag / m))
 
 
+def _roots(f: Polynomial) -> np.ndarray:
+    """The roots of ``f`` that can lie near [-1, 1]: leading coefficients below the
+    rounding of the largest go first, as their quotients could overflow."""
+    return f.trim(np.finfo(float).eps * np.abs(f.coef).max()).roots()
+
+
+def _real_zeros(f: Polynomial) -> list[float]:
+    """The zeros of ``f`` on t in [-1, 1]; -1 alone where ``f`` vanishes everywhere.
+
+    A candidate t, a root's real part or -1, counts where |f(t)| is below 1e-12 of
+    the size of f's terms there: rounding leaves ~1e-16, while a lossy system's
+    poles lie a linewidth off the real axis."""
+    t = np.clip(np.append(_roots(f).real, -1.0), -1.0, 1.0)
+    size = Polynomial(np.abs(f.coef))(np.abs(t))
+    return t[np.abs(f(t)) <= 1e-12 * size].tolist()
+
+
+# overflowing coefficients are refused below, and an overflowing value fails
+# every test a root must pass
+@np.errstate(all="ignore")
 def ucpb_roots(params: ModelParams, free: str,
-               interval: tuple[float, float], grid_step: float = 0.25) -> list[ConditionRoot]:
+               interval: tuple[float, float]) -> list[ConditionRoot]:
     """Optimal-blockade roots along one detuning axis.
 
-    Scans |c2g|^2 over ``free`` in ``interval`` on a ``grid_step`` grid, then
-    sharpens every interior local minimum by bounded scalar minimization.  A
-    minimum counts only if it is a genuine dip: |c2g| below its value 5 gamma
-    away on both sides by more than the relative depth ``_MIN_DIP``.  A dip
-    within 0.5 gamma of the CPB hyperbola (against the other, fixed detuning)
-    is labeled CPB.  Otherwise it counts as UCPB only if it actually blocks:
-    predicted g2(0) < 0.5 there (the usual sub-Poissonian bar; a c2g dip
-    where the one-photon amplitude dies even faster is not blockade).  The
-    hyperbola point itself is appended as a CPB root when it falls inside
-    the interval, so the result covers both blockade flavors.
+    Along ``free``, c2g = N / D with N and D polynomials (:func:`weak_drive_grid`),
+    so the minima of |c2g|^2 = P / Q in ``interval`` are real roots of P'Q - PQ'.
+    A minimum counts only if it is a genuine dip: |c2g| below its value 5 gamma
+    away on both sides by more than the relative depth ``_MIN_DIP``.  A dip within
+    0.5 gamma of the CPB hyperbola (against the other, fixed detuning) is labeled
+    CPB.  Otherwise it counts as UCPB only if it actually blocks: predicted g2(0) <
+    0.5 there (the usual sub-Poissonian bar; a c2g dip where the one-photon
+    amplitude dies even faster is not blockade).  The hyperbola point itself is
+    appended as a CPB root when it falls inside the interval, so the result covers
+    both blockade flavors.  Failures are decided first, for the whole interval:
+    non-finite N or D, or D = 0, raise failure 5, and a real zero of a denominator
+    factor raises that factor's failure, the lowest zero first.
     """
-    from scipy.optimize import minimize_scalar  # only this scan needs SciPy
-
     if free not in ("delta", "delta_a"):
         raise ValueError(f"free axis must be 'delta' or 'delta_a', got {free!r}")
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"empty search interval [{lo}, {hi}]")
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
 
-    npts = max(int(math.ceil((hi - lo) / grid_step)) + 1, 3)
-    xs = np.linspace(lo, hi, npts)
-    f = _c2g_magnitude(params, free, xs) ** 2
+    t = Polynomial([lo / 2 + hi / 2, hi / 2 - lo / 2])  # the free detuning, t on [-1, 1]
+    x = {"delta": Polynomial([params.delta]), "delta_a": Polynomial([params.delta_a]), free: t}
+    dp = x["delta"] - 0.5j * params.gamma
+    s, d1, d2, num, den = _c2g_parts(dp, x["delta_a"] - 0.5j * params.kappa,
+                                     params.g * params.g, params.E, params.U)
+    # c2g is finite nowhere when D's coefficients overflow or all underflow to 0
+    if not (np.isfinite(np.concatenate([num.coef, den.coef])).all() and den.coef.any()):
+        raise failure_error(5)
+    # at unit scale, squaring N and D and evaluating any of these cannot overflow
+    dp, s, d1, d2, num, den = map(_unit, (dp, s, d1, d2, num, den))
+    factors = [(1, d1), (2, d2), (4, s)] + ([(3, dp)] if params.g != 0 else [])
+    zeros = [(z, code) for code, f in factors for z in _real_zeros(f)]
+    if zeros:
+        raise failure_error(min(zeros)[1])
+
+    P, Q = (Polynomial(f.coef.real) ** 2 + Polynomial(f.coef.imag) ** 2 for f in (num, den))
+    slope = P.deriv() * Q - P * Q.deriv()  # (P / Q)' Q^2
+    ts = _roots(slope)
+    ts = ts.real[(ts.imag == 0) & (np.abs(ts.real) < 1.0)]
+    ts = ts[slope.deriv()(ts) > 0]  # minima: the slope turns from - to +
+    # cancellation in the slope's coefficients leaves its roots up to ~1e-8 off;
+    # one Newton step on the slope written through N and D takes them to ~1e-12
+    n, d = num(ts), den(ts)
+    ts = ts - 2 * ((num.deriv()(ts) * n.conj()).real * abs(d) ** 2
+                   - abs(n) ** 2 * (den.deriv()(ts) * d.conj()).real) / slope.deriv()(ts)
+    xs = t(np.sort(ts[np.abs(ts) < 1.0]))
 
     gamma = params.gamma if params.gamma > 0 else 1.0
     other = params.delta_a if free == "delta" else params.delta
     cpb_value: float | None = None
     if params.g > 0 and other != 0.0:
         cpb_value = cpb_partner_detuning(other, params.g)
+    hyperbola = [cpb_value] if cpb_value is not None and lo <= cpb_value <= hi else []
+    # one grid call: the candidates, their background 5 gamma to both sides, the hyperbola
+    k = xs.size
+    grid = weak_drive_grid(**{**vars(params), free: np.concatenate(
+        [xs, xs - 5.0 * gamma, xs + 5.0 * gamma, hyperbola])})
+    c2g = np.abs(grid.c2g)
+    dips = c2g[:k] < (1.0 - _MIN_DIP) * np.minimum(c2g[k:2 * k], c2g[2 * k:3 * k])
 
     roots: list[ConditionRoot] = []
-    for i in range(1, npts - 1):
-        if not (f[i] < f[i - 1] and f[i] < f[i + 1]):
-            continue
-        res = minimize_scalar(lambda x: _c2g_magnitude(params, free, x) ** 2,
-                              bounds=(xs[i - 1], xs[i + 1]), method="bounded",
-                              options={"xatol": 1e-4 * gamma})
-        x_min = float(res.x)
-        residual = math.sqrt(float(res.fun))
-        background = min(_c2g_magnitude(params, free, x_min - 5.0 * gamma),
-                         _c2g_magnitude(params, free, x_min + 5.0 * gamma))
-        if residual >= (1.0 - _MIN_DIP) * background:
-            continue
+    for i in np.flatnonzero(dips).tolist():
+        x_min, residual = float(xs[i]), float(c2g[i])
         if cpb_value is not None and abs(x_min - cpb_value) <= 0.5 * gamma:
             roots.append(ConditionRoot(free, x_min, residual, "CPB"))
             continue
-        # shape (1,), not 0-d, whose loops round differently: the bits of a grid cell
-        at_root = weak_drive_grid(**{**vars(params), free: [x_min]})
-        code = int(at_root.g2_failure[0])
+        code = int(grid.g2_failure[i])
         # an undriven one-photon sector leaves g2 undefined: nothing to compare against
         if code and not isinstance(failure_error(code), UndefinedCorrelationError):
             raise failure_error(code)
-        if code or at_root.g2[0] < 0.5:
+        if code or grid.g2[i] < 0.5:
             roots.append(ConditionRoot(free, x_min, residual, "UCPB"))
 
-    if cpb_value is not None and lo <= cpb_value <= hi:
-        if not any(r.kind == "CPB" and abs(r.value - cpb_value) <= 0.5 * gamma
-                   for r in roots):
-            roots.append(ConditionRoot(free, cpb_value,
-                                       float(_c2g_magnitude(params, free, cpb_value)), "CPB"))
-
+    if hyperbola and not any(r.kind == "CPB" and abs(r.value - cpb_value) <= 0.5 * gamma
+                             for r in roots):
+        roots.append(ConditionRoot(free, cpb_value, float(c2g[-1]), "CPB"))
     return sorted(roots, key=lambda r: r.value)

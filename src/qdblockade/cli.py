@@ -25,8 +25,8 @@ AXIS_FIELDS = ("delta", "delta_a", "g", "E", "U")
 _NONNEG_FIELDS = ("g", "E", "U")
 # engine -> what it runs, in column order
 _ENGINES = {"numeric": "steady-state solve", "analytic": "weak-drive evaluation"}
-# points in one grid or optimum scan: an analytic 1001x1001 sweep2d peaks at
-# ~620 MiB, while the paper's largest map, 241x241, has 58,081 points
+# points in one grid, and optimum's axis steps: an analytic 1001x1001 sweep2d
+# peaks at ~620 MiB, while the paper's largest map, 241x241, has 58,081 points
 MAX_GRID_POINTS = 10**6
 
 
@@ -217,12 +217,12 @@ def cmd_grid(args) -> int:
 
 def cmd_optimum(args) -> int:
     params = _params_from_args(args)
-    name, start, stop, steps = axis = _parse_axis(args.axis)
+    name, start, stop, _ = axis = _parse_axis(args.axis)
     if name not in ("delta", "delta_a"):
         raise _UsageError("optimum searches a detuning: axis must be delta or delta_a")
     _grid_size([axis])
     try:
-        roots = ucpb_roots(params, name, (start, stop), grid_step=(stop - start) / (steps - 1))
+        roots = ucpb_roots(params, name, (start, stop))
     except BlockadeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -282,7 +282,7 @@ _FLAGS = {
     "config": dict(default=None, help="key=value file supplying flag defaults"),
     "out": dict(default=None, help="output path (default: stdout)"),
     "axis": dict(required=True, help="name:start:stop:steps (sweep2d: the fast axis; "
-                                     "optimum: a detuning, steps sets the scan grid)"),
+                                     "optimum: a detuning; steps is checked, sets nothing)"),
     "axis2": dict(required=True, help="slow axis, name:start:stop:steps"),
     "engines": dict(default="numeric,analytic", help="result columns: numeric, analytic"),
     "gnuplot": dict(default=None, help="also write a gnuplot stub here"),

@@ -244,6 +244,39 @@ def test_roots_jc_limit_satisfy_real_part_condition():
                for r in roots)
 
 
+@pytest.mark.parametrize("fixed, free, interval, root", [
+    ({"delta": 30.0}, "delta_a", (0.0, 60.0), 37.340687204817),
+    ({"delta_a": 20.0}, "delta", (-60.0, 60.0), -39.938011039271),
+], ids=["delta_30_cut", "delta_a_20_cut"])
+def test_ucpb_root_is_the_exact_critical_point(fixed, free, interval, root):
+    # the constants are the critical points of |c2g|^2 from the closed form in mpmath at
+    # 50 digits (findroot on its derivative), with g = 20, E = 0.1, U = 5e-4, kappa =
+    # gamma = 1, rounded to 12 decimals
+    roots = ucpb_roots(ModelParams(g=20.0, E=0.1, U=0.0005, **fixed), free, interval)
+    [found] = [r.value for r in roots if r.kind == "UCPB"]
+    assert abs(found - root) < 1e-9
+
+
+@pytest.mark.parametrize("params, free, interval, kinds", [
+    # E^2 is subnormal
+    (ModelParams(delta=30.0, g=20.0, E=1e-160, U=0.0005), "delta_a", (0.0, 60.0), ["CPB"]),
+    # the leading coefficients of the axis polynomials are subnormal
+    (ModelParams(delta=30.0, g=20.0, E=0.1, U=0.0005), "delta_a", (0.0, 2e-160), []),
+    # c2g's coefficients overflow
+    (ModelParams(delta=30.0, g=20.0, E=30.0, U=0.0005), "delta_a", (1e154, 1e307), None),
+    (ModelParams(delta=30.0, g=20.0, E=1e200, U=0.0005), "delta_a", (0.0, 60.0), None),
+    # c2g's denominator underflows to 0 everywhere: g^4 with deltaA' = 0
+    (ModelParams(g=1e-160, E=0.1, U=0.0005, kappa=0.0), "delta", (-60.0, 60.0), None),
+], ids=["subnormal_drive", "subnormal_interval", "overflowing_interval", "overflowing_drive",
+        "vanishing_c2g_denominator"])
+def test_roots_at_extreme_scales_end_in_roots_or_blockade_errors(params, free, interval, kinds):
+    if kinds is None:
+        with pytest.raises(SingularSystemError, match="amplitudes overflow"):
+            ucpb_roots(params, free, interval)
+    else:
+        assert [r.kind for r in ucpb_roots(params, free, interval)] == kinds
+
+
 def test_roots_are_local_minima_of_c2g():
     p = ModelParams(delta_a=30.0, g=20.0, E=0.1, U=0.0005)
     for r in ucpb_roots(p, "delta", (-60.0, 60.0)):
@@ -259,8 +292,6 @@ def test_roots_input_validation():
         ucpb_roots(p, "g", (0.0, 60.0))
     with pytest.raises(ValueError):
         ucpb_roots(p, "delta_a", (10.0, 10.0))
-    with pytest.raises(ValueError):
-        ucpb_roots(p, "delta_a", (0.0, 60.0), grid_step=0.0)
 
 
 def test_mean_photon_lorentzian():

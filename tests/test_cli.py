@@ -330,13 +330,30 @@ def test_optimum_empty_interval_is_not_an_error(capsys):
     assert "# no blockade roots found" in out
 
 
-def test_optimum_on_a_lossless_cut_exits_3(capsys):
-    # kappa = gamma = 0 zeroes the weak-drive denominator deltaA' + delta' at delta = -20
-    code, out, err = run(capsys, ["optimum", "--axis", "delta:-60:60:481", "--delta-a", "20",
-                                  "--g", "20", "--E", "0.1", "--U", "0.0005", "--kappa", "0",
-                                  "--gamma", "0"])
+@pytest.mark.parametrize("steps", [479, 480, 481])
+def test_optimum_on_a_lossless_cut_exits_3(capsys, steps):
+    # kappa = gamma = 0 zeroes the weak-drive denominators deltaA' + delta' at delta = -20,
+    # delta' and deltaA'(deltaA'+delta') - g^2 at 0 and g^2 - delta' deltaA' at 20: the
+    # lowest zero names the failure, whatever the axis steps
+    code, out, err = run(capsys, ["optimum", "--axis", f"delta:-60:60:{steps}", "--delta-a",
+                                  "20", "--g", "20", "--E", "0.1", "--U", "0.0005", "--kappa",
+                                  "0", "--gamma", "0"])
     assert code == 3 and out == ""
     assert err.startswith("error: vanishing combined denominator") and err.count("\n") == 1
+
+
+def test_optimum_with_a_huge_drive_ends_without_a_warning(capsys):
+    # |c2g|^2 overflows float64 along the whole cut; under the suite's warning filter
+    # a NumPy overflow warning would fail the run
+    code, out, err = run(capsys, ["optimum", "--axis", "delta_a:0:60:241", "--delta", "30",
+                                  "--g", "20", "--E", "1e100", "--U", "0.0005"])
+    if code == 3:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code == 0 and err == ""
+        header, rows = parse_csv(out)
+        assert header == ["kind", "variable", "value", "c2g_residual", "g2_weak_drive"]
+        assert rows and all(0.0 <= float(r["value"]) <= 60.0 for r in rows)
 
 
 def test_gnuplot_stub(capsys, tmp_path):

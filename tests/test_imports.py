@@ -1,7 +1,7 @@
 """Which SciPy modules a CLI run loads, checked in child processes.
 
-Only the numeric steady-state solve and the ``optimum`` root scan need SciPy;
-an import of the CLI, a weak-drive sweep and a usage error load none of it.
+Only the numeric steady-state solve needs SciPy; an import of the CLI, a
+weak-drive sweep, an ``optimum`` root search and a usage error load none of it.
 """
 
 import subprocess
@@ -36,6 +36,8 @@ def test_importing_the_cli_loads_no_scipy():
     (["sweep", "--axis", "delta:-60:60:481", "--delta-a", "20", "--g", "20", "--E", "0.1",
       "--U", "0.0005", "--engines", "analytic"], 0),
     (["point", "--delta", "nan"], 1),
+    (["optimum", "--delta", "30", "--g", "20", "--E", "0.1", "--U", "0.0005",
+      "--axis", "delta_a:0:60:241"], 0),
 ])
 def test_weak_drive_runs_and_usage_errors_load_no_scipy(argv, exit_code):
     code, modules = loaded_scipy(argv)
