@@ -63,13 +63,14 @@ class ConditionRoot:
 
     ``residual`` is |c2g| at the root; for UCPB roots it is a local minimum
     of |c2g| along the solved variable, for CPB roots it is just the value on
-    the hyperbola.
+    the hyperbola.  ``g2`` is the weak-drive g2(0) there, nan where it fails.
     """
 
     variable: str
     value: float
     residual: float
     kind: str  # "CPB" | "UCPB"
+    g2: float
 
 
 @dataclass(frozen=True)
@@ -335,20 +336,21 @@ def ucpb_roots(params: ModelParams, free: str,
     c2g = np.abs(grid.c2g)
     dips = c2g[:k] < (1.0 - _MIN_DIP) * np.minimum(c2g[k:2 * k], c2g[2 * k:3 * k])
 
+    g2 = grid.g2.tolist()
     roots: list[ConditionRoot] = []
     for i in np.flatnonzero(dips).tolist():
         x_min, residual = float(xs[i]), float(c2g[i])
         if cpb_value is not None and abs(x_min - cpb_value) <= 0.5 * gamma:
-            roots.append(ConditionRoot(free, x_min, residual, "CPB"))
+            roots.append(ConditionRoot(free, x_min, residual, "CPB", g2[i]))
             continue
         code = int(grid.g2_failure[i])
         # an undriven one-photon sector leaves g2 undefined: nothing to compare against
         if code and not isinstance(failure_error(code), UndefinedCorrelationError):
             raise failure_error(code)
-        if code or grid.g2[i] < 0.5:
-            roots.append(ConditionRoot(free, x_min, residual, "UCPB"))
+        if code or g2[i] < 0.5:
+            roots.append(ConditionRoot(free, x_min, residual, "UCPB", g2[i]))
 
     if hyperbola and not any(r.kind == "CPB" and abs(r.value - cpb_value) <= 0.5 * gamma
                              for r in roots):
-        roots.append(ConditionRoot(free, cpb_value, float(c2g[-1]), "CPB"))
+        roots.append(ConditionRoot(free, cpb_value, float(c2g[-1]), "CPB", g2[-1]))
     return sorted(roots, key=lambda r: r.value)

@@ -229,11 +229,9 @@ def cmd_optimum(args) -> int:
     lines = ["kind,variable,value,c2g_residual,g2_weak_drive"]
     if not roots:
         lines.append("# no blockade roots found in [%.8e, %.8e]" % (start, stop))
-    # every root lies on the searched axis; g2 is nan where it fails
-    at_roots = weak_drive_grid(**{**vars(params), name: [r.value for r in roots]})
-    for root, g2 in zip(roots, at_roots.g2.tolist()):
+    for root in roots:
         lines.append("%s,%s,%.8e,%.8e,%.8e" % (root.kind, root.variable, root.value,
-                                              root.residual, g2))
+                                              root.residual, root.g2))
     return _emit(lines, args.out)
 
 

@@ -2,12 +2,13 @@
 
 Each test checks one numbered target and reports a PASS/FAIL line through
 conftest.record_criterion, so a full run ends with a ten-line scoreboard.
-Every steady-state solve performed for targets 1-6 goes through
-_solve_logged, which accumulates the density-matrix invariants that
-target 9 then asserts in one place.
+The fixtures for targets 1-6 solve on steady_state_grid, as the CLI does.
+While their grids run, the solve each cell calls is wrapped to log every
+steady state in _InvariantLog, and target 9 asserts its invariants at once.
 """
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +16,10 @@ import pytest
 
 import analytic_oracle
 from conftest import record_criterion
+from qdblockade import steady_state
 from qdblockade.analytic import weak_drive_grid
 from qdblockade.errors import SingularSystemError
 from qdblockade.model import HilbertSpace, ModelParams
-from qdblockade.steady_state import solve_steady_state, steady_state_grid
 
 SPACE = HilbertSpace(8)
 CUTOFF_CHECK = 12
@@ -30,7 +31,7 @@ HYPERBOLA_TROUGH = 400.0 / 30.0  # delta * delta_a = g^2 at delta = 30
 
 
 class _InvariantLog:
-    """Running extremes of the physicality checks over every logged solve."""
+    """Running extremes of the physicality checks over every solve passed to ``add``."""
 
     def __init__(self) -> None:
         self.count = 0
@@ -38,26 +39,35 @@ class _InvariantLog:
         self.max_herm_defect = 0.0
         self.min_eigenvalue = math.inf
         self.max_residual = 0.0
+        self._lock = threading.Lock()  # the grid's cells solve on worker threads
 
-    def add(self, result) -> None:
+    def add(self, result):
         rho = result.rho
         herm = 0.5 * (rho + rho.conj().T)
-        self.count += 1
-        self.max_trace_defect = max(self.max_trace_defect, abs(np.trace(rho) - 1.0))
-        self.max_herm_defect = max(
-            self.max_herm_defect, float(np.max(np.abs(rho - rho.conj().T))))
-        self.min_eigenvalue = min(
-            self.min_eigenvalue, float(np.linalg.eigvalsh(herm)[0]))
-        self.max_residual = max(self.max_residual, result.residual)
+        with self._lock:
+            self.count += 1
+            self.max_trace_defect = max(self.max_trace_defect, abs(np.trace(rho) - 1.0))
+            self.max_herm_defect = max(
+                self.max_herm_defect, float(np.max(np.abs(rho - rho.conj().T))))
+            self.min_eigenvalue = min(
+                self.min_eigenvalue, float(np.linalg.eigvalsh(herm)[0]))
+            self.max_residual = max(self.max_residual, result.residual)
+        return result
 
 
 INVARIANTS = _InvariantLog()
 
 
-def _solve_logged(params: ModelParams):
-    result = solve_steady_state(params, SPACE)
-    INVARIANTS.add(result)
-    return result
+def _logged_grid(**fields):
+    """steady_state_grid at SPACE's cutoff over REF with ``fields`` replaced, solves logged."""
+    solve, seen = steady_state.solve_steady_state, INVARIANTS.count
+    # the fixtures are module-scoped, so the function-scoped monkeypatch is out of reach
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(steady_state, "solve_steady_state",
+                      lambda params, space: INVARIANTS.add(solve(params, space)))
+        grid = steady_state.steady_state_grid(SPACE.photon_cutoff, **{**vars(REF), **fields})
+    assert not any(grid.failure.flat) and INVARIANTS.count - seen == grid.g2.size
+    return grid
 
 
 def _local_minima(xs, ys, bar: float):
@@ -71,20 +81,17 @@ def _local_minima(xs, ys, bar: float):
 
 @pytest.fixture(scope="module")
 def ref_point():
-    return _solve_logged(REF)
+    return float(_logged_grid().g2)
 
 
 @pytest.fixture(scope="module")
 def bimode_point():
-    return _solve_logged(BIMODE)
+    return float(_logged_grid(**vars(BIMODE)).g2)
 
 
 def _delta_cut(delta_a: float):
     deltas = np.arange(-60.0, 60.0 + 0.125, 0.25)
-    g2 = np.empty(deltas.size)
-    for i, d in enumerate(deltas):
-        g2[i] = _solve_logged(replace(REF, delta=float(d), delta_a=delta_a)).g2_zero
-    return deltas, g2
+    return deltas, _logged_grid(delta=deltas, delta_a=delta_a).g2
 
 
 @pytest.fixture(scope="module")
@@ -101,17 +108,12 @@ def cut30():
 def model_cuts():
     """Cavity-detuning cut at delta = 30 for the three model variants."""
     axis = np.arange(0.0, 60.0 + 0.125, 0.25)
-    base = replace(REF, delta=30.0)
-    variants = {"composite": base, "jc": replace(base, U=0.0), "bimode": replace(base, g=0.0)}
+    # the U = 0 (J-C) and g = 0 (bimode) limits override one field each
+    variants = {"composite": {}, "jc": {"U": 0.0}, "bimode": {"g": 0.0}}
     out = {}
-    for name, p0 in variants.items():
-        g2 = np.empty(axis.size)
-        n_a = np.empty(axis.size)
-        for i, da in enumerate(axis):
-            result = _solve_logged(replace(p0, delta_a=float(da)))
-            g2[i] = result.g2_zero
-            n_a[i] = result.n_a
-        out[name] = (g2, n_a)
+    for name, limit in variants.items():
+        grid = _logged_grid(delta=30.0, delta_a=axis, **limit)
+        out[name] = (grid.g2, grid.n_a)
     return axis, out
 
 
@@ -122,21 +124,17 @@ def quadrant_minima():
     quadrants = {"q1": (1.0, 1.0), "q2": (-1.0, 1.0), "q3": (-1.0, -1.0), "q4": (1.0, -1.0)}
     out = {}
     for name, (sd, sa) in quadrants.items():
-        best_val = math.inf
-        best_at = (0.0, 0.0)
-        for d in sd * mags:
-            for da in sa * mags:
-                g2 = _solve_logged(replace(REF, delta=float(d), delta_a=float(da))).g2_zero
-                if not math.isnan(g2) and g2 < best_val:
-                    best_val = g2
-                    best_at = (float(d), float(da))
-        out[name] = (best_val, best_at)
+        deltas, deltas_a = sd * mags, sa * mags
+        g2 = _logged_grid(delta=deltas[:, np.newaxis], delta_a=deltas_a).g2
+        # C order is delta-major, so nanargmin keeps the first of equal minima
+        i, j = np.unravel_index(np.nanargmin(g2), g2.shape)
+        out[name] = (float(g2[i, j]), (float(deltas[i]), float(deltas_a[j])))
     return out
 
 
 def test_criterion_1_hyperbola_point_value(ref_point):
     desc = "g2 at delta=delta_a=-20, g=20, E=0.1, U=0.0005 is 0.022 within 15%"
-    g2 = ref_point.g2_zero
+    g2 = ref_point
     ok = abs(g2 - 0.022) <= 0.15 * 0.022
     record_criterion(1, desc, ok, f"g2={g2:.5f}")
     assert ok, f"g2={g2}"
@@ -144,7 +142,7 @@ def test_criterion_1_hyperbola_point_value(ref_point):
 
 def test_criterion_2_dot_free_trough_value(bimode_point):
     desc = "dot-free trough at delta_a=20: g2 within [3e-4, 2e-3]"
-    g2 = bimode_point.g2_zero
+    g2 = bimode_point
     ok = 3e-4 <= g2 <= 2e-3
     record_criterion(2, desc, ok, f"g2={g2:.3e}")
     assert ok, f"g2={g2}"
@@ -301,7 +299,7 @@ def test_criterion_9_density_matrix_invariants(
 def test_criterion_10_truncation_robustness(
         ref_point, bimode_point, cut20, cut30, model_cuts):
     desc = "reported g2 values move < 1e-6 relative from cutoff 8 to 12"
-    points = [(REF, ref_point.g2_zero), (BIMODE, bimode_point.g2_zero)]
+    points = [(REF, ref_point), (BIMODE, bimode_point)]
 
     axis, cuts = model_cuts
     base = replace(REF, delta=30.0)
@@ -316,8 +314,8 @@ def test_criterion_10_truncation_robustness(
         for x, y in _local_minima(xs, ys, 0.1):
             points.append((replace(REF, delta=x, delta_a=da), y))
 
-    fine = steady_state_grid(CUTOFF_CHECK,
-                             **{k: [getattr(p, k) for p, _ in points] for k in vars(REF)})
+    fine = steady_state.steady_state_grid(
+        CUTOFF_CHECK, **{k: [getattr(p, k) for p, _ in points] for k in vars(REF)})
     assert not any(fine.failure)
     coarse = np.array([y for _, y in points])
     worst = float(np.max(np.abs(fine.g2 - coarse) / np.abs(coarse)))

@@ -286,6 +286,25 @@ def test_roots_are_local_minima_of_c2g():
         assert (r.residual < away).all()
 
 
+def test_roots_carry_the_grid_g2():
+    base = ModelParams(g=20.0, E=0.1, U=0.0005)
+    cuts = [
+        # the golden optimum cut, also the first of the optimal_conditions demo
+        (dataclasses.replace(base, delta=30.0), "delta_a", (0.0, 60.0)),
+        (dataclasses.replace(base, delta_a=-20.0), "delta", (-60.0, 60.0)),
+        (dataclasses.replace(base, delta_a=20.0), "delta", (-60.0, 60.0)),
+        (dataclasses.replace(base, delta_a=30.0), "delta", (-60.0, 60.0)),
+        (dataclasses.replace(base, delta=30.0, g=0.0), "delta_a", (0.0, 60.0)),
+        # |c1g|^4 underflows, so g2 is nan at the root
+        (dataclasses.replace(base, delta=30.0, E=1e-160), "delta_a", (0.0, 60.0)),
+    ]
+    for params, free, interval in cuts:
+        roots = ucpb_roots(params, free, interval)
+        assert roots
+        at_roots = weak_drive_grid(**{**vars(params), free: [r.value for r in roots]})
+        assert np.array_equal([r.g2 for r in roots], at_roots.g2, equal_nan=True)
+
+
 def test_roots_input_validation():
     p = ModelParams(delta=30.0, g=20.0, E=0.1, U=0.0005)
     with pytest.raises(ValueError):

@@ -6,7 +6,11 @@ cell, the header and the row order must match the files in tests/data.
 
 Regenerate the files after an intended output change with
 
-    PYTHONPATH=src python3 tests/test_cli_golden.py
+    PYTHONPATH=src python3 tests/test_cli_golden.py [NAME ...]
+
+where each NAME is a key of CASES (``optimum`` rewrites data/optimum.csv) or
+``gnuplot`` for data/gnuplot_stub.gp.  With no NAME every file is rewritten,
+which also rewrites the rounding-level residual cells of the numeric cases.
 """
 
 import sys
@@ -92,15 +96,22 @@ if __name__ == "__main__":
     from contextlib import redirect_stdout
     from io import StringIO
 
-    for name, argv in CASES.items():
+    names = sys.argv[1:] or [*CASES, "gnuplot"]
+    unknown = [name for name in names if name not in CASES and name != "gnuplot"]
+    if unknown:
+        sys.exit(f"unknown golden {', '.join(unknown)}; "
+                 f"valid names: {', '.join([*CASES, 'gnuplot'])}")
+    for name in names:
+        if name == "gnuplot":
+            with tempfile.TemporaryDirectory() as tmp:
+                csv, gp = Path(tmp, "cut.csv"), Path(tmp, "cut.gp")
+                if main([*CASES["compare"], "--out", str(csv), "--gnuplot", str(gp)]) != 0:
+                    sys.exit("gnuplot stub: nonzero exit")
+                stub = gp.read_text(encoding="utf-8").replace(str(csv), "OUT")
+            (DATA / "gnuplot_stub.gp").write_text(stub, encoding="utf-8")
+            continue
         buf = StringIO()
         with redirect_stdout(buf):
-            if main(argv) != 0:
+            if main(CASES[name]) != 0:
                 sys.exit(f"{name}: nonzero exit")
         (DATA / f"{name}.csv").write_text(buf.getvalue(), encoding="utf-8")
-    with tempfile.TemporaryDirectory() as tmp:
-        csv, gp = Path(tmp, "cut.csv"), Path(tmp, "cut.gp")
-        if main([*CASES["compare"], "--out", str(csv), "--gnuplot", str(gp)]) != 0:
-            sys.exit("gnuplot stub: nonzero exit")
-        stub = gp.read_text(encoding="utf-8").replace(str(csv), "OUT")
-        (DATA / "gnuplot_stub.gp").write_text(stub, encoding="utf-8")
