@@ -116,27 +116,82 @@ def build_liouvillian(params: ModelParams, space: HilbertSpace) -> sp.csc_array:
     return sp.csc_array((data, indices, indptr), shape=(n2, n2))
 
 
+def _csc_pattern(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """int32 CSC ``(indices, indptr)`` of an n x n pattern given as its sorted,
+    distinct keys ``col * n + row``, which is column-major order."""
+    cols, rows = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    return rows.astype(np.int32), indptr
+
+
+def _kron(left: tuple, right: tuple, n: int) -> tuple:
+    """Kronecker product of two ``(rows, cols, values)`` triplets of n x n matrices:
+    the outer product of their nonzeros."""
+    (r1, c1, v1), (r2, c2, v2) = left, right
+    return ((r1[:, None] * n + r2).ravel(), (c1[:, None] * n + c2).ravel(),
+            (v1[:, None] * v2).ravel())
+
+
+def _dot(left: tuple, right: tuple, n: int) -> tuple:
+    """``left @ right`` for triplets with at most one entry per row and column,
+    so each entry of the product is one product of entries."""
+    at = np.full(n, -1)
+    at[right[0]] = np.arange(right[0].size)
+    k = at[left[1]]
+    hit = k >= 0
+    return left[0][hit], right[1][k[hit]], left[2][hit] * right[2][k[hit]]
+
+
 @lru_cache(maxsize=None)
 def _generator_parts(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only CSC ``(indices, indptr)`` shared by every generator on ``space``,
     and on it the real values of D[a], D[s-] and Im(-i[H_k, .]) for the blocks
     H_k = s+s-, a'a, s+a + s-a', a + a', a^2 + a'^2 that delta .. U weigh in H,
-    one row each (4.5 MB at cutoff 40)."""
-    import scipy.sparse as sp
+    one row each (4.5 MB at cutoff 40).
+
+    Every block is a short sum of Kronecker products of the identity and of
+    ladder products, each held as a ``(rows, cols, values)`` triplet, and its
+    terms are summed in the order 2 K - A - B (D[o]) or R - L (commutators), so
+    the arrays equal those of the same sums in sparse matrix algebra.  Only the
+    diagonal of [H_k, .] for H_k = s+s- or a'a cancels, at equal levels, and
+    D[s-] or D[a] is nonzero there, so no entry of the union is 0 in every block.
+    """
+    fock, dim = space.fock_dim, space.dim
+
+    def transpose(t: tuple) -> tuple:
+        return t[1], t[0], t[2]
+
+    def plus(x: tuple, y: tuple) -> tuple:  # of two triplets with disjoint entries
+        return tuple(np.concatenate(pair) for pair in zip(x, y))
 
     # the ladders are real, so every H_k and every block is too
-    eye = sp.eye_array(space.dim, format="csr")
-    a = sp.kron(sp.eye_array(2), sp.diags_array(np.sqrt(np.arange(1.0, space.fock_dim)),
-                                                offsets=1), format="csr")
-    sm = sp.kron(sp.csr_array([[0.0, 1.0], [0.0, 0.0]]), sp.eye_array(space.fock_dim),
-                 format="csr")
-    ad, sd = a.T, sm.T
-    hams = (sd @ sm, ad @ a, sd @ a + sm @ ad, a + ad, a @ a + ad @ ad)
-    blocks = [2.0 * sp.kron(o, o) - sp.kron(eye, o.T @ o) - sp.kron((o.T @ o).T, eye)
-              for o in (a, sm)] + [sp.kron(h.T, eye) - sp.kron(eye, h) for h in hams]
-    union = sum(abs(b) for b in blocks).tocsc()
-    # b + i union has an entry wherever any block does, and b as its exact real part
-    values = np.array([(b + 1j * union).tocsc().data.real for b in blocks])
-    for arr in (union.indices, union.indptr, values):
+    n = np.arange(1, fock)
+    cols = np.concatenate([n, n + fock])
+    a = (cols - 1, cols, np.tile(np.sqrt(n.astype(float)), 2))
+    sm = (np.arange(fock), np.arange(fock) + fock, np.ones(fock))
+    eye = (np.arange(dim), np.arange(dim), np.ones(dim))
+    ad, sd = transpose(a), transpose(sm)
+    hams = (_dot(sd, sm, dim), _dot(ad, a, dim),
+            plus(_dot(sd, a, dim), _dot(sm, ad, dim)), plus(a, ad),
+            plus(_dot(a, a, dim), _dot(ad, ad, dim)))
+    blocks = []
+    for o in (a, sm):
+        num = _dot(transpose(o), o, dim)
+        blocks.append([(2.0, o, o), (-1.0, eye, num), (-1.0, transpose(num), eye)])
+    blocks += [[(1.0, transpose(h), eye), (-1.0, eye, h)] for h in hams]
+
+    n2 = dim * dim
+    terms = [(b, coef, _kron(left, right, dim))
+             for b, block in enumerate(blocks) for coef, left, right in block]
+    union, at = np.unique(np.concatenate([c * n2 + r for _, _, (r, c, _) in terms]),
+                          return_inverse=True)
+    values = np.zeros((len(blocks), union.size))
+    start = 0
+    for b, coef, (_, _, v) in terms:  # a term has no repeated entry
+        values[b, at[start:start + v.size]] += coef * v
+        start += v.size
+    indices, indptr = _csc_pattern(union, n2)
+    for arr in (indices, indptr, values):
         arr.flags.writeable = False
-    return union.indices, union.indptr, values
+    return indices, indptr, values

@@ -32,7 +32,7 @@ from .errors import (
     SingularSystemError,
     SteadyStateResidualError,
 )
-from .model import HilbertSpace, ModelParams, _generator_parts, build_liouvillian
+from .model import HilbertSpace, ModelParams, _csc_pattern, _generator_parts, build_liouvillian
 
 __all__ = [
     "SteadyStateGrid",
@@ -97,16 +97,17 @@ def _ordered_system(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.nda
 
     # values on the pattern that make it strictly diagonally dominant, so the
     # incomplete factorization, which drops every entry it may, cannot meet a
-    # zero pivot; only its column order is kept
-    pattern = (sp.csc_array((np.ones(rows.size), (rows, cols)), shape=(n2, n2))
-               + n2 * sp.eye_array(n2, format="csc"))
+    # zero pivot; only its column order is kept.  The diagonal n2 is summed onto
+    # the ones as a duplicate COO entry.
+    diag = np.arange(n2)
+    pattern = sp.csc_array((np.concatenate([np.ones(rows.size), np.full(n2, float(n2))]),
+                            (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
+                           shape=(n2, n2))
     perm = spilu(pattern, drop_tol=np.inf, permc_spec="MMD_AT_PLUS_A",
                  options=dict(SymmetricMode=True)).perm_c
-    prows, pcols = perm[rows], perm[cols]
-    order = np.lexsort((prows, pcols))
-    indices = prows[order].astype(np.int32)
-    indptr = np.zeros(n2 + 1, dtype=np.int32)
-    np.cumsum(np.bincount(pcols, minlength=n2), out=indptr[1:])
+    keys = perm[cols] * n2 + perm[rows]
+    order = np.argsort(keys)  # the keys are distinct
+    indices, indptr = _csc_pattern(keys[order], n2)
     out = (indices, indptr, perm, src[order])
     for arr in out:
         arr.flags.writeable = False
@@ -218,10 +219,13 @@ def steady_state_grid(cutoff: int, rel_tol: float | None = None, **fields) -> St
     ``weak_drive_grid``.  Each cell is solved at ``cutoff``, or with ``rel_tol`` by the
     :func:`converged_solve` ladder from it; a BlockadeError fails its cell only.
 
-    Cells are solved on one thread per CPU the process may use, as SuperLU releases
-    the GIL while it factors; any other exception stops them after their current
-    solve and is raised.  Set ``OPENBLAS_NUM_THREADS=1`` before SciPy loads, as the
-    CLI does: with BLAS threads inside each factorization the threads lose to one CPU.
+    Cells are solved on one thread per CPU the process may use; any other exception
+    stops them after their current solve and is raised.  SuperLU factorizations run
+    alongside each other, but one slows while another thread runs Python, since
+    SciPy's SuperLU takes the GIL back inside a factorization; so after cell 0 the
+    calling thread waits on the workers instead of solving cells beside them.  Set
+    ``OPENBLAS_NUM_THREADS=1`` before SciPy loads, as the CLI does: with BLAS threads
+    inside each factorization the threads lose to one CPU.
     """
     import threading
     from concurrent.futures import ThreadPoolExecutor

@@ -5,8 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 from qdblockade import HilbertSpace, ModelParams, build_liouvillian
+from qdblockade.model import _generator_parts
 
-from dense_oracle import dense_liouvillian
+from dense_oracle import dense_liouvillian, kron_generator_parts
 from fock_helpers import basis_index, basis_state, hamiltonian, identity, unvec, vec
 
 SQRT2 = np.sqrt(2.0)
@@ -129,6 +130,18 @@ def test_sparse_generator_equals_dense_kron_sum():
                 liou = build_liouvillian(q, space)
                 assert sp.issparse(liou) and liou.format == "csc"
                 assert np.array_equal(liou.toarray(), dense_liouvillian(q, space))
+
+
+def test_generator_parts_equal_kronecker_oracle():
+    # toarray() cannot see the CSC pattern or its order, on which the solver's
+    # cached ordering is computed
+    for cutoff in (2, 3, 4, 8, 10, 12, 16, 20, 40):
+        parts = _generator_parts(HilbertSpace(cutoff))
+        oracle = kron_generator_parts(HilbertSpace(cutoff))
+        for got, want, dtype in zip(parts, oracle, (np.int32, np.int32, np.float64)):
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
 
 
 def test_dark_state_is_stationary_without_drives():
