@@ -11,6 +11,8 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -25,9 +27,14 @@ AXIS_FIELDS = ("delta", "delta_a", "g", "E", "U")
 _NONNEG_FIELDS = ("g", "E", "U")
 # engine -> what it runs, in column order
 _ENGINES = {"numeric": "steady-state solve", "analytic": "weak-drive evaluation"}
-# points in one grid, and optimum's axis steps: an analytic 1001x1001 sweep2d
-# peaks at ~620 MiB, while the paper's largest map, 241x241, has 58,081 points
+# points in one grid, and optimum's axis steps: an analytic 1000x1000 sweep2d
+# peaks at ~396 MiB (405,436 kB VmHWM), while the paper's largest map, 241x241,
+# has 58,081 points
 MAX_GRID_POINTS = 10**6
+# a grid row's status, by the class of its first failing column's error
+_STATUS = ("ok", "no_converge", "singular")
+# rows formatted at a time, which bounds the CSV's per-cell temporaries
+_BLOCK_ROWS = 1 << 16
 
 
 class _UsageError(Exception):
@@ -104,33 +111,75 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _emit(lines: list[str], out_path: str | None) -> int:
-    text = "\n".join(lines) + "\n"
+def _emit(lines: Iterable[str], out_path: str | None) -> int:
+    """Write each of ``lines`` and a newline to ``out_path``, or to stdout; 2 if the
+    file cannot be written.  An item may hold several lines joined by newlines."""
+    def write(fh) -> None:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
+
     if out_path is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return 0
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as exc:
         print(f"error: cannot write {out_path!r}: {exc}", file=sys.stderr)
         return 2
     return 0
 
 
-def _write_gnuplot(args, header: list[str], two_d: bool) -> int:
-    if args.gnuplot is None:
-        return 0
-    if args.out is None:
-        raise _UsageError("--gnuplot requires --out so the script has data to point at")
-    lines = [f"# gnuplot stub for {args.out}", "set datafile separator ','",
+def _csv_rows(columns: list[tuple[np.ndarray, str]], status: np.ndarray) -> Iterator[str]:
+    """The CSV rows ``fmt % cell`` for each ``(values, fmt)`` column, then the
+    ``_STATUS[status]`` words, as blocks of rows joined by newlines.
+
+    Their text is that of ``",".join(fmts + ["%s"]) % row`` formatted row by row.
+    A column whose cells are at most half distinct (a grid axis, a constant
+    column, the status) formats each distinct bit pattern once and repeats its
+    text by index; keying on bits, not float equality, keeps -0.0 apart from 0.0.
+    A constant column is written into the row template.  The row template
+    formats the other columns, one ``%`` per block of rows.
+    """
+    n = status.size
+    fmts, cells = [], []
+
+    def repeat(texts: list[str], index: np.ndarray) -> None:
+        if len(texts) == 1:
+            fmts.append(texts[0])  # no % in a number's text or a status word
+        else:
+            fmts.append("%s")
+            cells.append(np.array(texts, dtype=object)[index])
+
+    for values, fmt in columns:
+        distinct, index = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+        if 2 * distinct.size > n:
+            fmts.append(fmt)
+            cells.append(values)
+        else:
+            distinct = distinct.view(values.dtype).tolist()
+            repeat(((fmt + "\n") * len(distinct) % tuple(distinct)).split("\n")[:-1], index)
+    codes, index = np.unique(status, return_inverse=True)
+    repeat([_STATUS[c] for c in codes.tolist()], index)
+    row, k = ",".join(fmts), len(cells)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, n - start)
+        flat = [None] * (rows * k)
+        for j, cell in enumerate(cells):
+            flat[j::k] = cell[start:start + rows].tolist()
+        yield "\n".join([row] * rows) % tuple(flat)
+
+
+def _write_gnuplot(path: str, csv_path: str, header: list[str], two_d: bool) -> int:
+    lines = [f"# gnuplot stub for {csv_path}", "set datafile separator ','",
              "set key autotitle columnhead"]
     if two_d:
-        lines += ["set view map", f"splot '{args.out}' using 1:2:3 with points palette"]
+        lines += ["set view map", f"splot '{csv_path}' using 1:2:3 with points palette"]
     else:
-        lines += ["set logscale y", f"plot '{args.out}' using 1:2 with lines"]
+        lines += ["set logscale y", f"plot '{csv_path}' using 1:2 with lines"]
     lines.append(f"# columns: {','.join(header)} ({len(header)} total)")
-    return _emit(lines, args.gnuplot)
+    return _emit(lines, path)
 
 
 def _params_from_args(args) -> ModelParams:
@@ -151,7 +200,7 @@ def _analytic(args, fields: dict) -> tuple:
     cutoff or residual of its own."""
     grid = weak_drive_grid(**fields)
     n_a = grid.n_a
-    failure = [None] * n_a.size
+    failure = np.full(n_a.size, None, dtype=object)
     for i in np.flatnonzero(grid.n_a_failure | grid.g2_failure).tolist():
         exc = failure_error(int(grid.n_a_failure[i] or grid.g2_failure[i]))
         if not isinstance(exc, UndefinedCorrelationError):  # that leaves only g2 nan
@@ -163,9 +212,10 @@ def cmd_grid(args) -> int:
     """point, sweep, sweep2d, compare: one CSV row per grid point.
 
     Every column evaluates the whole grid to arrays (g2, n_a, cutoff_used,
-    residual) and a sequence of per-point failures (None or the BlockadeError).
-    A failing point holds nan cells, and the first failing column in output
-    order sets its status; ``point`` (no axes) exits 3 on it instead.
+    residual) and an object array of per-point failures (None or the
+    BlockadeError).  A failing point holds nan cells, and the first failing
+    column in output order sets its status; ``point`` (no axes) exits 3 on it
+    instead.  The rows are formatted column by column by ``_csv_rows``.
     """
     base = _params_from_args(args)
     if args.command == "compare":
@@ -186,9 +236,9 @@ def cmd_grid(args) -> int:
     labels = [label for label, *_ in columns]
     header = (names + [f"g2_{x}" for x in labels] + [f"n_a_{x}" for x in labels]
               + info + ["status"])
-    code = _write_gnuplot(args, header, two_d=len(axes) == 2) if axes else 0
-    if code:
-        return code
+    gnuplot = getattr(args, "gnuplot", None)  # point has no --gnuplot
+    if gnuplot is not None and args.out is None:
+        raise _UsageError("--gnuplot requires --out so the script has data to point at")
     # the last axis is the slow (outer) index
     coords = [m.ravel(order="F") for m in np.meshgrid(
         *(np.linspace(start, stop, steps) for _, start, stop, steps in axes), indexing="ij")]
@@ -200,19 +250,18 @@ def cmd_grid(args) -> int:
             if failure[0] is not None:
                 print(f"error: {_ENGINES[label]} failed: {failure[0]}", file=sys.stderr)
                 return 3
-    first = [None] * n
+    status = np.zeros(n, dtype=np.intp)  # into _STATUS; the first failing column wins
     for *_, failure in reversed(outs):
-        first = [f if f is not None else later for f, later in zip(failure, first)]
-    status = ["ok" if f is None else "no_converge" if isinstance(f, CutoffConvergenceError)
-              else "singular" for f in first]
-    cells = coords + [o[0] for o in outs] + [o[1] for o in outs]
-    formats = ["%.8e"] * len(cells)
+        failed = np.flatnonzero(failure != None)  # noqa: E711 (elementwise)
+        status[failed] = [1 if isinstance(f, CutoffConvergenceError) else 2
+                          for f in failure[failed].tolist()]
+    columns = [(c, "%.8e") for c in coords + [o[0] for o in outs] + [o[1] for o in outs]]
     if info:
-        cells += outs[0][2:4]  # from the first engine
-        formats += ["%d", "%.8e"]
-    template = ",".join(formats + ["%s"])
-    rows = zip(*(c.tolist() for c in cells), status)
-    return _emit([",".join(header)] + [template % row for row in rows], args.out)
+        columns += [(outs[0][2], "%d"), (outs[0][3], "%.8e")]  # from the first engine
+    code = _emit(chain([",".join(header)], _csv_rows(columns, status)), args.out)
+    if code or gnuplot is None:
+        return code
+    return _write_gnuplot(gnuplot, args.out, header, two_d=len(axes) == 2)
 
 
 def cmd_optimum(args) -> int:

@@ -125,12 +125,23 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
     the weakly occupied sectors accurate.  The solution must meet
     ||L vec(rho)||_inf <= 1e-9 on the unpermuted L.
 
-    Failures are read off that one path.  A is exactly singular when L has
-    no unique trace-one null vector (row 0 of L is minus the sum of its other
-    diagonal rows, since vec(I)' L = 0), so a singular factorization raises
-    DegenerateSteadyStateError.  An overflowing generator or a non-finite
-    solution raises SingularSystemError, and a finite miss of the residual
-    bound raises SteadyStateResidualError.
+    Failures are read off that one path, in four classes:
+
+    - DegenerateSteadyStateError: A is exactly singular when L has no unique
+      trace-one null vector (row 0 of L is minus the sum of its other diagonal
+      rows, since vec(I)' L = 0), so a singular factorization raises it.
+    - SingularSystemError, huge entries: a singular factorization of an L whose
+      largest entry times the float64 epsilon is at least 1.  At that scale
+      rounding exceeds a unit rate, and a well-posed strong drive can factor
+      as singular too, so degeneracy cannot be told.
+    - SingularSystemError, overflow: an overflowing generator or a non-finite
+      solution.
+    - SteadyStateResidualError: a finite miss of the residual bound.  The bound
+      is absolute, so rounding in large entries misses it as well.
+
+    At cutoff 4 with kappa = gamma = 1, drives from E = 3e7 up miss the
+    residual bound; some from E = 5e37 up (E = 1e40, 1e80, 1e300) factor as
+    singular instead and read as huge entries.
     """
     import scipy.sparse as sp  # deferred: the weak-drive paths never load SciPy
     from scipy.sparse.linalg import splu
@@ -148,6 +159,12 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
         lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.01,
                   options=dict(SymmetricMode=True))
     except RuntimeError:  # SuperLU: the replaced system is exactly singular
+        scale = float(np.max(np.abs(liou.data)))
+        if scale * np.finfo(float).eps >= 1:
+            raise SingularSystemError(
+                f"trace-replaced Liouvillian is singular at entry magnitude {scale:.2e}, "
+                "where rounding exceeds 1, the unit of every rate; degeneracy cannot be told"
+            ) from None
         raise DegenerateSteadyStateError(
             "trace-replaced Liouvillian is singular; no unique trace-one steady state"
         ) from None

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qdblockade
@@ -360,13 +362,60 @@ def test_gnuplot_stub(capsys, tmp_path):
     csv = tmp_path / "cut.csv"
     gp = tmp_path / "cut.gp"
     argv = ["sweep", *REF_ARGS, "--cutoff", "6", "--axis", "delta:0:2:3"]
-    code, _, err = run(capsys, [*argv, "--gnuplot", str(gp)])
-    assert code == 1  # stub without data to point at is refused
+    code, out, err = run(capsys, [*argv, "--gnuplot", str(gp)])
+    assert code == 1  # stub without data to point at is refused before any work
+    assert out == "" and not gp.exists()
+    # a CSV that cannot be written leaves no stub pointing at it
+    missing = tmp_path / "missing" / "cut.csv"
+    code, _, err = run(capsys, [*argv, "--gnuplot", str(gp), "--out", str(missing)])
+    assert code == 2
+    assert "cannot write" in err
+    assert not gp.exists()
     code, _, _ = run(capsys, [*argv, "--gnuplot", str(gp), "--out", str(csv)])
     assert code == 0
     text = gp.read_text()
     assert str(csv) in text
     assert csv.exists()
+
+
+def rowwise_csv_rows(columns, status):
+    """The per-row emitter that ``cli._csv_rows`` replaced: one ``template % row``
+    per row over the columns' Python values and the status words."""
+    template = ",".join([fmt for _, fmt in columns] + ["%s"])
+    words = [cli._STATUS[code] for code in status.tolist()]
+    rows = zip(*(values.tolist() for values, _ in columns), words)
+    return "\n".join(template % row for row in rows)
+
+
+# -0.0 equals 0.0 and nan has two signs: a float-keyed cache would merge them
+SPECIALS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 1.5]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 2 * cli._BLOCK_ROWS + 5])
+def test_csv_rows_equal_rowwise_emitter(n):
+    rng = np.random.default_rng(n)
+    pool = np.array(SPECIALS)
+    mostly_distinct = rng.standard_normal(n)
+    mostly_distinct[::5] = rng.choice(pool, mostly_distinct[::5].size)
+    columns = [
+        (np.linspace(-60.0, 60.0, n), "%.8e"),
+        (np.tile([0.0, -0.0], n)[:n], "%.8e"),  # two bit patterns, one float value
+        (rng.choice(pool, n), "%.8e"),
+        (mostly_distinct, "%.8e"),
+        (np.full(n, -0.0), "%.8e"),
+        (np.full(n, math.nan), "%.8e"),  # the analytic engine's residual
+        (rng.choice(np.array([4, 8, 12, 40]), n), "%d"),  # a ladder's cutoff_used
+        (np.full(n, 10), "%d"),
+        (np.arange(n) + 2, "%d"),
+    ]
+    # every status from 3 rows on, and each one alone
+    for status in (rng.permutation(np.arange(n) % 3), np.zeros(n, dtype=int), np.full(n, 2)):
+        got = "\n".join(cli._csv_rows(columns, status)).split("\n")
+        want = rowwise_csv_rows(columns, status).split("\n")
+        # the first differing row, since a diff of the whole text takes minutes
+        first_bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        assert first_bad is None, (first_bad, got[first_bad], want[first_bad])
+        assert len(got) == len(want) == n
 
 
 def test_convergence_table(capsys):
@@ -487,5 +536,6 @@ def test_analytic_paper_map_stays_small(tmp_path):
          *REF_ARGS[4:], "--engines", "analytic", "--out", str(out)], timeout=120)
     assert proc.returncode == 0
     assert len(out.read_text().splitlines()) == 1 + 241 * 241
-    # measured 70.9e6 bytes; the row-by-row evaluation it replaced peaked at 97.5e6
-    assert peak_bytes < 90e6
+    # measured 58.4e6 bytes; the row-by-row CSV emitter peaked at 70.7e6, and the
+    # row-by-row evaluation before it at 97.5e6
+    assert peak_bytes < 68e6

@@ -126,6 +126,8 @@ def test_degenerate_generator_is_refused():
         (ModelParams(g=20.0, E=0.1, kappa=0.0, gamma=0.0), 10),
         # an undriven, undamped dot decoupled from the cavity keeps either state
         (ModelParams(g=0.0, E=0.0, kappa=1.0, gamma=0.0), 6),
+        # large entries, max|L| * eps = 0.044, still below the huge-entry class
+        (ModelParams(g=1e14, E=0.1, kappa=0.0, gamma=0.0), 4),
     ]:
         with pytest.raises(DegenerateSteadyStateError):
             solve_steady_state(p, HilbertSpace(cutoff))
@@ -152,6 +154,14 @@ def test_overflowing_drive_is_refused():
         solve_steady_state(ModelParams(E=1e308), HilbertSpace(4))
     with pytest.raises(SingularSystemError, match="overflows float64"):
         solve_steady_state(ModelParams(E=5e307), HilbertSpace(4))
+
+
+@pytest.mark.parametrize("E", [1e40, 1e80, 1e300])
+def test_huge_drive_is_not_called_degenerate(E):
+    # these factor as exactly singular at cutoff 4, where max|L| * eps is 4.4e24 to
+    # 4.4e284: rounding exceeds every rate, so nothing shows a degenerate generator
+    with pytest.raises(SingularSystemError, match="entry magnitude 2.00e"):
+        solve_steady_state(ModelParams(E=E), HilbertSpace(4))
 
 
 def test_solver_invariants_over_random_parameters():
