@@ -28,8 +28,8 @@ _NONNEG_FIELDS = ("g", "E", "U")
 # engine -> what it runs, in column order
 _ENGINES = {"numeric": "steady-state solve", "analytic": "weak-drive evaluation"}
 # points in one grid, and optimum's axis steps: an analytic 1000x1000 sweep2d
-# peaks at ~396 MiB (405,436 kB VmHWM), while the paper's largest map, 241x241,
-# has 58,081 points
+# peaks at ~316 MiB (323,456-324,568 kB VmHWM), while the paper's largest map,
+# 241x241, has 58,081 points
 MAX_GRID_POINTS = 10**6
 # a grid row's status, by the class of its first failing column's error
 _STATUS = ("ok", "no_converge", "singular")
@@ -73,12 +73,11 @@ def _parse_axis(text: str) -> tuple[str, float, float, int]:
     return name, start, stop, steps
 
 
-def _grid_size(axes) -> int:
+def _check_grid_size(axes) -> None:
     n = math.prod(steps for *_, steps in axes)
     if n > MAX_GRID_POINTS:
         raise _UsageError(f"grid of {n} points exceeds the limit of {MAX_GRID_POINTS}; "
                           "split it into runs over smaller ranges")
-    return n
 
 
 def _parse_engines(text: str) -> tuple[str, ...]:
@@ -113,20 +112,31 @@ def _load_config(path: str) -> dict:
 
 def _emit(lines: Iterable[str], out_path: str | None) -> int:
     """Write each of ``lines`` and a newline to ``out_path``, or to stdout; 2 if the
-    file cannot be written.  An item may hold several lines joined by newlines."""
+    file or stdout cannot be written.  An item may hold several lines joined by
+    newlines."""
     def write(fh) -> None:
         for line in lines:
             fh.write(line)
             fh.write("\n")
 
-    if out_path is None:
-        write(sys.stdout)
-        return 0
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+        if out_path is not None:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                write(fh)
+        elif sys.stdout is None:  # started with file descriptor 1 closed
+            raise OSError("stdout is closed")
+        else:
+            write(sys.stdout)
+            sys.stdout.flush()  # fail here, not when the interpreter exits
     except OSError as exc:
-        print(f"error: cannot write {out_path!r}: {exc}", file=sys.stderr)
+        if out_path is None and sys.stdout is not None:
+            # the interpreter flushes stdout on exit, which would fail again on
+            # the unwritten rest: send that to the null device instead
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        target = "stdout" if out_path is None else repr(out_path)
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return 2
     return 0
 
@@ -135,14 +145,14 @@ def _csv_rows(columns: list[tuple[np.ndarray, str]], status: np.ndarray) -> Iter
     """The CSV rows ``fmt % cell`` for each ``(values, fmt)`` column, then the
     ``_STATUS[status]`` words, as blocks of rows joined by newlines.
 
-    Their text is that of ``",".join(fmts + ["%s"]) % row`` formatted row by row.
-    A column whose cells are at most half distinct (a grid axis, a constant
-    column, the status) formats each distinct bit pattern once and repeats its
-    text by index; keying on bits, not float equality, keeps -0.0 apart from 0.0.
-    A constant column is written into the row template.  The row template
-    formats the other columns, one ``%`` per block of rows.
+    The rows run over ``status`` in C order, each ``values`` broadcast to its shape,
+    with the text of ``",".join(fmts + ["%s"]) % row`` row by row.  A column whose
+    cells are at most half distinct (a grid axis, a constant column, the status)
+    formats each distinct bit pattern once and repeats its text by index; keying
+    on bits, not float equality, keeps -0.0 apart from 0.0.  A constant column is
+    written into the row template, which formats the rest, one ``%`` per block.
     """
-    n = status.size
+    shape, n = status.shape, status.size
     fmts, cells = [], []
 
     def repeat(texts: list[str], index: np.ndarray) -> None:
@@ -150,18 +160,20 @@ def _csv_rows(columns: list[tuple[np.ndarray, str]], status: np.ndarray) -> Iter
             fmts.append(texts[0])  # no % in a number's text or a status word
         else:
             fmts.append("%s")
-            cells.append(np.array(texts, dtype=object)[index])
+            cells.append(np.array(texts, dtype=object)[np.broadcast_to(index, shape)].ravel())
 
     for values, fmt in columns:
+        values = np.asarray(values)
         distinct, index = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
         if 2 * distinct.size > n:
             fmts.append(fmt)
-            cells.append(values)
+            cells.append(np.broadcast_to(values, shape).ravel())
         else:
             distinct = distinct.view(values.dtype).tolist()
-            repeat(((fmt + "\n") * len(distinct) % tuple(distinct)).split("\n")[:-1], index)
+            repeat(((fmt + "\n") * len(distinct) % tuple(distinct)).split("\n")[:-1],
+                   index.reshape(values.shape))  # NumPy < 2 flattens it
     codes, index = np.unique(status, return_inverse=True)
-    repeat([_STATUS[c] for c in codes.tolist()], index)
+    repeat([_STATUS[c] for c in codes.tolist()], index.reshape(shape))
     row, k = ",".join(fmts), len(cells)
     for start in range(0, n, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, n - start)
@@ -190,69 +202,67 @@ def _params_from_args(args) -> ModelParams:
         raise _UsageError(str(exc))
 
 
-def _numeric(args, fields: dict) -> tuple:
-    """Numeric engine: one solve per point at --cutoff, or the rising-cutoff ladder."""
-    return steady_state_grid(args.cutoff, args.converge_tol, **fields)
-
-
-def _analytic(args, fields: dict) -> tuple:
+def _analytic(cutoff: int, fields: dict) -> tuple:
     """Weak-drive engine, one array evaluation for the whole grid; it has no
-    cutoff or residual of its own."""
+    cutoff or residual of its own, so every cell reads ``cutoff`` and nan."""
     grid = weak_drive_grid(**fields)
     n_a = grid.n_a
-    failure = np.full(n_a.size, None, dtype=object)
-    for i in np.flatnonzero(grid.n_a_failure | grid.g2_failure).tolist():
-        exc = failure_error(int(grid.n_a_failure[i] or grid.g2_failure[i]))
+    code = np.where(grid.n_a_failure != 0, grid.n_a_failure, grid.g2_failure)
+    failure = np.full(code.shape, None, dtype=object)
+    for c in np.unique(code[code != 0]).tolist():  # one exception per failing code
+        exc = failure_error(c)
         if not isinstance(exc, UndefinedCorrelationError):  # that leaves only g2 nan
-            failure[i], n_a[i] = exc, math.nan
-    return grid.g2, n_a, np.full(n_a.size, args.cutoff), np.full(n_a.size, math.nan), failure
+            failure[code == c], n_a[code == c] = exc, math.nan
+    return grid.g2, n_a, cutoff, math.nan, failure
 
 
 def cmd_grid(args) -> int:
     """point, sweep, sweep2d, compare: one CSV row per grid point.
 
-    Every column evaluates the whole grid to arrays (g2, n_a, cutoff_used,
-    residual) and an object array of per-point failures (None or the
-    BlockadeError).  A failing point holds nan cells, and the first failing
-    column in output order sets its status; ``point`` (no axes) exits 3 on it
-    instead.  The rows are formatted column by column by ``_csv_rows``.
+    Every column gets the fixed fields as numbers and the axes as broadcast
+    dimensions, ``--axis`` (n1,) and the slow ``--axis2`` (n2, 1).  It returns
+    arrays in the grid's shape (g2, n_a, cutoff_used, residual) and an object
+    array of per-point failures (None or the BlockadeError).  A failing point
+    holds nan cells, and the first failing column in output order sets its
+    status; ``point`` (shape ()) exits 3 on it instead.  ``_csv_rows`` formats
+    the rows column by column, in C order.
     """
     base = _params_from_args(args)
     if args.command == "compare":
         # the U = 0 (J-C) and g = 0 (bimode) limits override one field each
-        columns = [("composite", _numeric, {}), ("jc", _numeric, {"U": 0.0}),
-                   ("bimode", _numeric, {"g": 0.0})]
+        columns = [("composite", "numeric", {}), ("jc", "numeric", {"U": 0.0}),
+                   ("bimode", "numeric", {"g": 0.0})]
         info = []
     else:
-        engines = {"numeric": _numeric, "analytic": _analytic}
-        columns = [(e, engines[e], {}) for e in _parse_engines(args.engines)]
+        columns = [(e, e, {}) for e in _parse_engines(args.engines)]
         info = ["cutoff_used", "residual"]
     axes = [_parse_axis(getattr(args, flag))
             for flag in _SUBCOMMANDS[args.command][2] if flag.startswith("axis")]
     names = [axis[0] for axis in axes]
     if len(set(names)) < len(names):
         raise _UsageError(f"axis and axis2 must differ, both are {names[0]!r}")
-    n = _grid_size(axes)
+    _check_grid_size(axes)
     labels = [label for label, *_ in columns]
     header = (names + [f"g2_{x}" for x in labels] + [f"n_a_{x}" for x in labels]
               + info + ["status"])
     gnuplot = getattr(args, "gnuplot", None)  # point has no --gnuplot
     if gnuplot is not None and args.out is None:
         raise _UsageError("--gnuplot requires --out so the script has data to point at")
-    # the last axis is the slow (outer) index
-    coords = [m.ravel(order="F") for m in np.meshgrid(
-        *(np.linspace(start, stop, steps) for _, start, stop, steps in axes), indexing="ij")]
-    fields = {k: np.full(n, v) for k, v in vars(base).items()}
-    fields.update(zip(names, coords))
-    outs = [evaluate(args, {**fields, **override}) for _, evaluate, override in columns]
+    # axis k varies along dimension -1 - k: the last axis is the slow (outer) index
+    coords = [np.linspace(start, stop, steps).reshape((steps,) + (1,) * k)
+              for k, (_, start, stop, steps) in enumerate(axes)]
+    fields = {**vars(base), **dict(zip(names, coords))}
+    outs = [steady_state_grid(args.cutoff, args.converge_tol, **{**fields, **override})
+            if engine == "numeric" else _analytic(args.cutoff, {**fields, **override})
+            for _, engine, override in columns]
     if not axes:
         for label, (*_, failure) in zip(labels, outs):
-            if failure[0] is not None:
-                print(f"error: {_ENGINES[label]} failed: {failure[0]}", file=sys.stderr)
+            if failure.item() is not None:
+                print(f"error: {_ENGINES[label]} failed: {failure.item()}", file=sys.stderr)
                 return 3
-    status = np.zeros(n, dtype=np.intp)  # into _STATUS; the first failing column wins
+    status = np.zeros(outs[0][-1].shape, dtype=np.intp)  # into _STATUS; first failure wins
     for *_, failure in reversed(outs):
-        failed = np.flatnonzero(failure != None)  # noqa: E711 (elementwise)
+        failed = failure != None  # noqa: E711 (elementwise)
         status[failed] = [1 if isinstance(f, CutoffConvergenceError) else 2
                           for f in failure[failed].tolist()]
     columns = [(c, "%.8e") for c in coords + [o[0] for o in outs] + [o[1] for o in outs]]
@@ -269,7 +279,7 @@ def cmd_optimum(args) -> int:
     name, start, stop, _ = axis = _parse_axis(args.axis)
     if name not in ("delta", "delta_a"):
         raise _UsageError("optimum searches a detuning: axis must be delta or delta_a")
-    _grid_size([axis])
+    _check_grid_size([axis])
     try:
         roots = ucpb_roots(params, name, (start, stop))
     except BlockadeError as exc:

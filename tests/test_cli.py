@@ -11,6 +11,7 @@ import pytest
 
 import qdblockade
 from qdblockade import CutoffConvergenceError, cli, steady_state
+from qdblockade.analytic import failure_error
 from qdblockade.cli import main
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{8}e[+-]\d{2,3}$")
@@ -170,6 +171,46 @@ def test_unsettled_ladder_reads_no_converge(capsys, monkeypatch):
     code, _, err = run(capsys, ["point", "--converge-tol", "1e-6", "--E", "0.1"])
     assert code == 3
     assert "steady-state solve failed" in err
+
+
+@pytest.mark.parametrize("argv, axes", [
+    (["sweep2d", "--axis", "delta:0:1:3", "--axis2", "g:0:1:2"], {"delta": (3,), "g": (2, 1)}),
+    (["sweep", "--axis", "E:0:1:4"], {"E": (4,)}),
+    (["compare", "--axis", "delta_a:0:1:3"], {"delta_a": (3,)}),
+    (["point"], {}),
+])
+def test_engines_receive_broadcast_axes(capsys, monkeypatch, argv, axes):
+    # the fast axis is a row, the slow axis a column, and every fixed field a number
+    shapes = []
+    for name in ("steady_state_grid", "weak_drive_grid"):
+        def recording(*args, engine=getattr(cli, name), **fields):
+            shapes.append({k: np.shape(v) for k, v in fields.items()})
+            return engine(*args, **fields)
+        monkeypatch.setattr(cli, name, recording)
+    code, out, _ = run(capsys, [*argv, "--E", "0.1", "--cutoff", "4"])
+    assert code == 0
+    assert len(parse_csv(out)[1]) == math.prod(n for shape in axes.values() for n in shape)
+    want = {field: axes.get(field, ()) for field in ("delta", "delta_a", "g", "E", "U",
+                                                     "kappa", "gamma")}
+    assert shapes == [want] * (3 if argv[0] == "compare" else 2)
+
+
+def test_dark_analytic_sweep_builds_one_error_per_failure_code(capsys, monkeypatch):
+    # E = 0 leaves g2 undefined in every cell, which is a nan cell and not a failure
+    calls = []
+
+    def counting(code):
+        calls.append(code)
+        return failure_error(code)
+    monkeypatch.setattr(cli, "failure_error", counting)
+    code, out, _ = run(capsys, ["sweep", "--axis", "delta:-60:60:1000", "--g", "20",
+                                "--engines", "analytic"])
+    assert code == 0
+    rows = parse_csv(out)[1]
+    assert len(rows) == 1000
+    assert {(r["g2_analytic"], r["n_a_analytic"], r["status"]) for r in rows} == {
+        ("nan", "0.00000000e+00", "ok")}
+    assert len(calls) == len(set(calls)) <= 9
 
 
 def test_unwritable_output_exits_2(capsys):
@@ -418,6 +459,21 @@ def test_csv_rows_equal_rowwise_emitter(n):
         assert len(got) == len(want) == n
 
 
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5), (2, 1000)])
+def test_csv_rows_take_broadcast_columns(shape):
+    # a grid's columns: its axes as a row and a column, numbers and full-shape cells
+    rng = np.random.default_rng(len(shape))
+    axes = [np.linspace(-1.0, 1.0, n).reshape((n,) + (1,) * k)
+            for k, n in enumerate(reversed(shape))]
+    columns = [(axis, "%.8e") for axis in axes] + [
+        (rng.standard_normal(shape), "%.8e"), (rng.choice(np.array(SPECIALS), shape), "%.8e"),
+        (10, "%d"), (math.nan, "%.8e")]
+    status = np.asarray(rng.integers(0, 3, shape))
+    got = "\n".join(cli._csv_rows(columns, status))
+    full = [(np.broadcast_to(values, shape).ravel(), fmt) for values, fmt in columns]
+    assert got == rowwise_csv_rows(full, status.ravel())
+
+
 def test_convergence_table(capsys):
     code, out, _ = run(capsys, ["convergence", *REF_ARGS, "--cutoff", "4"])
     assert code == 0
@@ -440,6 +496,41 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("g2_numeric,")
+
+
+def write_to_broken_stdout(how):
+    """Run a CLI child whose stdout is a pipe closed after one line, /dev/full or a
+    closed descriptor; return its exit code and stderr."""
+    argv = [sys.executable, "-m", "qdblockade"]
+    if how == "pipe":  # 58,081 rows, far more than a pipe buffers
+        with subprocess.Popen([*argv, "sweep2d", "--axis", "delta:-60:60:241", "--axis2",
+                               "delta_a:-60:60:241", "--E", "0.1", "--engines", "analytic"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=child_env()) as proc:
+            proc.stdout.readline()
+            proc.stdout.close()
+            return proc.wait(timeout=120), proc.stderr.read()
+    point = [*argv, "point", "--E", "0.1", "--engines", "analytic"]
+    if how == "full":  # a small output that fails only when flushed
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(point, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=120, env=child_env())
+    else:
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *point], capture_output=True,
+                              text=True, timeout=120, env=child_env())
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("how", [
+    "pipe",
+    pytest.param("full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                  reason="no /dev/full")),
+    "closed",
+])
+def test_stdout_write_failure_exits_2(how):
+    code, err = write_to_broken_stdout(how)
+    assert code == 2
+    assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1, err
 
 
 def test_overflowing_sweep_prints_no_warnings():
@@ -528,14 +619,20 @@ def test_numeric_map_does_not_depend_on_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-def test_analytic_paper_map_stays_small(tmp_path):
-    # the 241x241 weak-drive map of the paper, 58081 rows
+# 241: the paper's weak-drive map.  Measured 53.2e6-57.0e6 bytes; 58.4e6 when the
+# engine got a full-length copy of each field, 70.7e6 with the row-by-row CSV
+# emitter before that, and 97.5e6 with the row-by-row evaluation before it.
+# 1000: the largest grid the CLI accepts (MAX_GRID_POINTS).  Measured 331.2e6-332.4e6
+# bytes; 413.1e6-415.3e6 with the full-length field copies
+@pytest.mark.parametrize("steps, bound", [(241, 68e6), (1000, 370e6)],
+                         ids=["241x241", "1000x1000"])
+def test_analytic_paper_map_stays_small(tmp_path, steps, bound):
     out = tmp_path / "map.csv"
     proc, peak_bytes = run_measuring_peak(
-        ["sweep2d", "--axis", "delta:-60:60:241", "--axis2", "delta_a:-60:60:241",
-         *REF_ARGS[4:], "--engines", "analytic", "--out", str(out)], timeout=120)
+        ["sweep2d", "--axis", f"delta:-60:60:{steps}", "--axis2", f"delta_a:-60:60:{steps}",
+         *REF_ARGS[4:], "--engines", "analytic", "--out", str(out)], timeout=300)
     assert proc.returncode == 0
-    assert len(out.read_text().splitlines()) == 1 + 241 * 241
-    # measured 58.4e6 bytes; the row-by-row CSV emitter peaked at 70.7e6, and the
-    # row-by-row evaluation before it at 97.5e6
-    assert peak_bytes < 68e6
+    with out.open() as fh:
+        assert sum(1 for _ in fh) == 1 + steps * steps
+    out.unlink()  # 71 MB at 1000x1000
+    assert peak_bytes < bound
