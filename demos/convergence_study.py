@@ -8,7 +8,7 @@ ladder has to be much taller before the observables settle.
 import numpy as np
 
 from qdblockade.model import HilbertSpace, ModelParams
-from qdblockade.steady_state import converged_solve, solve_steady_state
+from qdblockade.steady_state import solve_steady_state, steady_state_grid
 
 weak = ModelParams(delta=-20.0, delta_a=-20.0, g=20.0, E=0.1, U=0.0005)
 strong = ModelParams(delta=0.0, delta_a=0.0, g=20.0, E=2.0, U=0.0005)
@@ -22,13 +22,14 @@ for label, params, cutoffs in (("weak drive (E = 0.1)", weak, (4, 6, 8, 10, 12))
         print(f"  {cutoff:6d}   {res.g2_zero:.8e}   {res.n_a:.5e}   {res.residual:.1e}")
     print()
 
-# the automatic ladder: steps of 4 until g2 and n_a both stop moving
+# the automatic ladder of a one-cell grid: steps of 4 until g2 and n_a both stop
+# moving; history receives each rung the cell was solved on
 for label, params in (("weak", weak), ("strong", strong)):
     history = []
-    res = converged_solve(params, initial_cutoff=4, rel_tol=1e-6, history=history)
-    steps = " -> ".join(str(r.cutoff_used) for r in history)
+    res = steady_state_grid(4, 1e-6, history, **vars(params))
+    steps = " -> ".join(str(rung.cutoff_used[0]) for rung in history)
     print(f"{label} drive settled at cutoff {res.cutoff_used} (tried {steps}): "
-          f"g2 = {res.g2_zero:.6e}, n_a = {res.n_a:.6e}")
+          f"g2 = {res.g2:.6e}, n_a = {res.n_a:.6e}")
 
 try:
     import matplotlib

@@ -22,7 +22,6 @@ from .model import (
 from .steady_state import (
     SteadyStateGrid,
     SteadyStateResult,
-    converged_solve,
     solve_steady_state,
     steady_state_grid,
 )

@@ -19,7 +19,7 @@ import numpy as np
 from .analytic import failure_error, ucpb_roots, weak_drive_grid
 from .errors import BlockadeError, CutoffConvergenceError, UndefinedCorrelationError
 from .model import ModelParams
-from .steady_state import MAX_CUTOFF, SteadyStateResult, converged_solve, steady_state_grid
+from .steady_state import MAX_CUTOFF, steady_state_grid
 
 __all__ = ["main"]
 
@@ -248,6 +248,8 @@ def cmd_grid(args) -> int:
     gnuplot = getattr(args, "gnuplot", None)  # point has no --gnuplot
     if gnuplot is not None and args.out is None:
         raise _UsageError("--gnuplot requires --out so the script has data to point at")
+    if gnuplot is not None and os.path.realpath(gnuplot) == os.path.realpath(args.out):
+        raise _UsageError("--gnuplot and --out name the same file")
     # axis k varies along dimension -1 - k: the last axis is the slow (outer) index
     coords = [np.linspace(start, stop, steps).reshape((steps,) + (1,) * k)
               for k, (_, start, stop, steps) in enumerate(axes)]
@@ -295,19 +297,16 @@ def cmd_optimum(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    params = _params_from_args(args)
+    """The rungs a one-cell ladder solved, up to the one it settled on."""
+    history = []
     tol = 1e-6 if args.converge_tol is None else args.converge_tol
-    history: list[SteadyStateResult] = []
-    failed = None
-    try:
-        converged_solve(params, initial_cutoff=args.cutoff, rel_tol=tol,
-                        history=history)
-    except BlockadeError as exc:
-        failed = exc
+    failed = steady_state_grid(args.cutoff, tol, history,
+                               **vars(_params_from_args(args))).failure.item()
     lines = ["cutoff,g2_numeric,n_a_numeric,residual"]
-    for res in history:
-        lines.append("%d,%.8e,%.8e,%.8e" % (res.cutoff_used, res.g2_zero, res.n_a,
-                                            res.residual))
+    for rung in history:
+        if rung.failure[0] is None:
+            lines.append("%d,%.8e,%.8e,%.8e" % (rung.cutoff_used[0], rung.g2[0], rung.n_a[0],
+                                                rung.residual[0]))
     code = _emit(lines, args.out)
     if code or failed is None:
         return code
@@ -344,9 +343,10 @@ _FLAGS = {
     "engines": dict(default="numeric,analytic", help="result columns: numeric, analytic"),
     "gnuplot": dict(default=None, help="also write a gnuplot stub here"),
 }
-# a config file may set every flag but these, with '-' written as '_'
-_CONFIG_KEYS = {flag.replace("-", "_"): spec.get("type", str)
-                for flag, spec in _FLAGS.items() if flag not in ("config", "gnuplot")}
+# a config file may set every flag but these, with '-' written as '_'; argparse
+# ignores a default for a required flag such as --axis
+_CONFIG_KEYS = {flag.replace("-", "_"): spec.get("type", str) for flag, spec in _FLAGS.items()
+                if flag not in ("config", "gnuplot", "axis", "axis2")}
 
 
 def _build_parser() -> tuple[_Parser, dict]:

@@ -13,6 +13,8 @@ validity checks in tests measure the solver rather than a cosmetic cleanup.
 Both observables are weights of the photon-number distribution P(n), the
 diagonal of rho summed over the dot state: n_a = <a'a> = sum n P(n) and
 g2(0) = <a'a'aa> / n_a^2 with <a'a'aa> = sum n (n - 1) P(n).
+``steady_state_grid`` solves whole grids of points, at one cutoff or up a
+cutoff ladder whose rungs solve only the points not yet settled.
 """
 
 from __future__ import annotations
@@ -37,13 +39,12 @@ from .model import HilbertSpace, ModelParams, _csc_pattern, _generator_parts, bu
 __all__ = [
     "SteadyStateGrid",
     "SteadyStateResult",
-    "converged_solve",
     "solve_steady_state",
     "steady_state_grid",
 ]
 
 RESIDUAL_TOL = 1e-9
-# top of the converged_solve ladder and of the CLI's --cutoff
+# top of steady_state_grid's cutoff ladder and of the CLI's --cutoff
 MAX_CUTOFF = 40
 
 # occupations below this are treated as exactly dark when forming ratios
@@ -182,45 +183,17 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
     return SteadyStateResult(rho, g2, n_a, space.photon_cutoff, residual)
 
 
-def _rel_change(old: float, new: float) -> float:
-    if math.isnan(old) and math.isnan(new):
-        return 0.0
-    if old == new:
-        return 0.0
-    return abs(new - old) / max(abs(new), 1e-9)
-
-
-def converged_solve(params: ModelParams, initial_cutoff: int = 4, rel_tol: float = 1e-6,
-                    history: list[SteadyStateResult] | None = None) -> SteadyStateResult:
-    """Raise the Fock cutoff in steps of 4 until g2(0) and n_a both settle.
-
-    Returns the first solve whose relative change from the previous cutoff is
-    below ``rel_tol`` for both observables (dark solves settle trivially).
-    Pass ``history`` to record every intermediate SteadyStateResult.  Raises
-    CutoffConvergenceError if MAX_CUTOFF is reached without settling.
-    """
-    prev = solve_steady_state(params, HilbertSpace(initial_cutoff))
-    if history is not None:
-        history.append(prev)
-    cutoff = initial_cutoff + 4
-    while cutoff <= MAX_CUTOFF:
-        cur = solve_steady_state(params, HilbertSpace(cutoff))
-        if history is not None:
-            history.append(cur)
-        if (_rel_change(prev.g2_zero, cur.g2_zero) < rel_tol
-                and _rel_change(prev.n_a, cur.n_a) < rel_tol):
-            return cur
-        prev = cur
-        cutoff += 4
-    raise CutoffConvergenceError(
-        f"observables not settled to rel_tol={rel_tol:g} by cutoff {MAX_CUTOFF}"
-    )
+def _rel_change(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """|new - old| / max(|new|, 1e-9) per cell, 0 where both are equal or nan."""
+    same = (old == new) | (np.isnan(old) & np.isnan(new))
+    return np.where(same, 0.0, np.abs(new - old) / np.maximum(np.abs(new), 1e-9))
 
 
 class SteadyStateGrid(NamedTuple):
-    """The results of :func:`steady_state_grid`, in the broadcast shape.  A failed
-    cell holds nan, the first cutoff tried in ``cutoff_used`` and its BlockadeError
-    in ``failure``, which is None where the solve succeeded."""
+    """The results of :func:`steady_state_grid`, in the broadcast shape, or of one
+    rung of its ladder, 1-D over the cells solved.  A failed cell holds nan, the
+    first cutoff tried in ``cutoff_used`` and its BlockadeError in ``failure``,
+    which is None where the solve succeeded."""
 
     g2: np.ndarray
     n_a: np.ndarray
@@ -229,68 +202,96 @@ class SteadyStateGrid(NamedTuple):
     failure: np.ndarray
 
 
-def steady_state_grid(cutoff: int, rel_tol: float | None = None, **fields) -> SteadyStateGrid:
+def _unsolved(shape, cutoff: int) -> SteadyStateGrid:
+    return SteadyStateGrid(*(np.full(shape, v) for v in (math.nan, math.nan, cutoff, math.nan)),
+                           np.full(shape, None, dtype=object))
+
+
+def steady_state_grid(cutoff: int, rel_tol: float | None = None,
+                      history: list[SteadyStateGrid] | None = None, **fields) -> SteadyStateGrid:
     """The steady state at every cell of broadcast parameters, solved on every CPU.
 
     ``fields`` are fields of :class:`ModelParams`, numbers or arrays broadcast as in
-    ``weak_drive_grid``.  Each cell is solved at ``cutoff``, or with ``rel_tol`` by the
-    :func:`converged_solve` ladder from it; a BlockadeError fails its cell only.
+    ``weak_drive_grid``.  Each cell is solved at ``cutoff``; a BlockadeError fails
+    its cell only.  With ``rel_tol`` the cells climb a ladder of rungs, cutoff,
+    cutoff + 4, ... up to MAX_CUTOFF: each rung solves the cells still open, and a
+    cell settles on the first rung at which g2 and n_a both moved by less than
+    ``rel_tol`` relative to the rung below (dark cells, whose g2 is nan, settle on
+    n_a).  A cell not settled by MAX_CUTOFF fails with CutoffConvergenceError.
+    Pass ``history`` to receive each rung's results, 1-D over the cells that rung
+    solved in C order.
 
     Cells are solved on one thread per CPU the process may use; any other exception
     stops them after their current solve and is raised.  SuperLU factorizations run
     alongside each other, but one slows while another thread runs Python, since
-    SciPy's SuperLU takes the GIL back inside a factorization; so after cell 0 the
-    calling thread waits on the workers instead of solving cells beside them.  Set
-    ``OPENBLAS_NUM_THREADS=1`` before SciPy loads, as the CLI does: with BLAS threads
-    inside each factorization the threads lose to one CPU.
+    SciPy's SuperLU takes the GIL back inside a factorization; so after a rung's
+    first cell, which fills that cutoff's caches, the calling thread waits on the
+    workers instead of solving cells beside them.  Set ``OPENBLAS_NUM_THREADS=1``
+    before SciPy loads, as the CLI does: with BLAS threads inside each
+    factorization the threads lose to one CPU.
     """
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
     fields = {**vars(ModelParams()), **fields}
     arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in fields.values()))
-    shape = arrays[0].shape
-    out = SteadyStateGrid(*(np.full(shape, v) for v in (math.nan, math.nan, cutoff, math.nan)),
-                          np.full(shape, None, dtype=object))
-    cells = out.g2.size
-    space = HilbertSpace(cutoff)
-
-    def solve(i: int) -> None:
-        params = ModelParams(**{name: float(a.flat[i]) for name, a in zip(fields, arrays)})
-        try:
-            res = (solve_steady_state(params, space) if rel_tol is None else
-                   converged_solve(params, initial_cutoff=cutoff, rel_tol=rel_tol))
-        except BlockadeError as exc:
-            out.failure.flat[i] = exc
-        else:
-            out.g2.flat[i], out.n_a.flat[i], out.cutoff_used.flat[i], out.residual.flat[i] = (
-                res.g2_zero, res.n_a, res.cutoff_used, res.residual)
-
-    if cells:
-        solve(0)  # fills the per-cutoff caches before any thread starts
-    if cells < 2:
-        return out
-    # two ladder cells that first reach a cutoff together may both fill its
-    # lru_caches; the results are equal read-only arrays, so no lock is needed
+    out = _unsolved(arrays[0].shape, cutoff)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(cells - 1, cpus)
-    stop = threading.Event()
 
-    def work(first: int) -> None:
-        try:
-            for i in range(first, cells, workers):
-                if stop.is_set():
-                    return
-                solve(i)
-        except BaseException:
-            stop.set()
-            raise
+    def solve_rung(cells: np.ndarray, cutoff: int) -> SteadyStateGrid:
+        rung, space = _unsolved(cells.shape, cutoff), HilbertSpace(cutoff)
 
-    with ThreadPoolExecutor(workers) as pool:
-        try:  # an interrupt, even between two submits, ends the threads after their solve
-            for future in [pool.submit(work, first) for first in range(1, workers + 1)]:
-                future.result()
-        finally:
-            stop.set()
+        def solve(j: int) -> None:
+            i = cells[j]
+            params = ModelParams(**{name: float(a.flat[i]) for name, a in zip(fields, arrays)})
+            try:
+                res = solve_steady_state(params, space)
+            except BlockadeError as exc:
+                rung.failure[j] = exc
+            else:
+                rung.g2[j], rung.n_a[j], rung.residual[j] = res.g2_zero, res.n_a, res.residual
+
+        solve(0)  # fills the per-cutoff caches before any thread starts
+        if cells.size < 2:
+            return rung
+        workers = min(cells.size - 1, cpus)
+        stop = threading.Event()
+
+        def work(first: int) -> None:
+            try:
+                for j in range(first, cells.size, workers):
+                    if stop.is_set():
+                        return
+                    solve(j)
+            except BaseException:
+                stop.set()
+                raise
+
+        with ThreadPoolExecutor(workers) as pool:
+            try:  # an interrupt, even between two submits, ends the threads after their solve
+                for future in [pool.submit(work, first) for first in range(1, workers + 1)]:
+                    future.result()
+            finally:
+                stop.set()
+        return rung
+
+    cells = np.arange(out.g2.size)  # the open cells, with their last rung's g2 and n_a
+    last_g2 = last_n_a = np.full(cells.size, math.inf)  # inf: no first rung settles
+    while cells.size:
+        rung = solve_rung(cells, cutoff)
+        if history is not None:
+            history.append(rung)
+        ok = rung.failure == None  # noqa: E711 (elementwise)
+        out.failure.flat[cells[~ok]] = rung.failure[~ok]
+        settled = ok if rel_tol is None else (ok & (_rel_change(last_g2, rung.g2) < rel_tol)
+                                              & (_rel_change(last_n_a, rung.n_a) < rel_tol))
+        for got, res in zip(out[:4], rung):
+            got.flat[cells[settled]] = res[settled]
+        keep = ok & ~settled
+        cells, last_g2, last_n_a, cutoff = cells[keep], rung.g2[keep], rung.n_a[keep], cutoff + 4
+        if cells.size and cutoff > MAX_CUTOFF:
+            out.failure.flat[cells] = CutoffConvergenceError(
+                f"observables not settled to rel_tol={rel_tol:g} by cutoff {MAX_CUTOFF}")
+            break
     return out

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qdblockade
-from qdblockade import CutoffConvergenceError, cli, steady_state
+from qdblockade import cli, steady_state
 from qdblockade.analytic import failure_error
 from qdblockade.cli import main
 
@@ -105,7 +105,6 @@ def test_usage_errors_exit_1(capsys, monkeypatch, argv):
     def no_solve(*args, **kwargs):
         raise AssertionError("solver reached")
     monkeypatch.setattr(cli, "steady_state_grid", no_solve)
-    monkeypatch.setattr(cli, "converged_solve", no_solve)
     code, _, err = run(capsys, argv)
     assert code == 1
     assert len(err.splitlines()) == 1
@@ -158,10 +157,8 @@ def test_first_failing_column_sets_status(capsys):
 
 
 def test_unsettled_ladder_reads_no_converge(capsys, monkeypatch):
-    def never_settles(*args, **kwargs):
-        raise CutoffConvergenceError("observables not settled")
-    # the binding that steady_state_grid's ladder calls
-    monkeypatch.setattr(steady_state, "converged_solve", never_settles)
+    # a ladder whose top rung is its first, the default cutoff 10, cannot settle
+    monkeypatch.setattr(steady_state, "MAX_CUTOFF", 10)
     tol = ["--converge-tol", "1e-6", "--E", "0.1", "--axis", "delta:0:1:2"]
     for argv in (["sweep", *tol], ["compare", *tol]):
         code, out, _ = run(capsys, argv)
@@ -273,6 +270,24 @@ def test_config_refuses_keys_and_values_it_cannot_set(capsys, tmp_path, line, ke
     assert code == 1
     assert out == ""
     assert f"{key!r}" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "delta:0:1:3"],
+    ["sweep2d", "--axis", "delta:0:1:3", "--axis2", "delta_a:0:1:2"],
+], ids=["sweep", "sweep2d"])
+@pytest.mark.parametrize("key", ["axis", "axis2"])
+def test_config_cannot_set_the_axes(capsys, tmp_path, argv, key):
+    # argparse ignores a default for a required flag, so a config axis could only
+    # be dropped silently; it is refused as an unknown key instead
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = g:0:1:2\n")
+    code, out, err = run(capsys, [*argv, "--E", "0.1", "--engines", "analytic",
+                                  "--config", str(cfg)])
+    assert code == 1
+    assert out == ""
+    assert f"unknown config key {key!r}" in err
     assert len(err.splitlines()) == 1
 
 
@@ -412,6 +427,11 @@ def test_gnuplot_stub(capsys, tmp_path):
     assert code == 2
     assert "cannot write" in err
     assert not gp.exists()
+    # a stub that would overwrite its own CSV is refused before any work
+    for same in (str(csv), f"{tmp_path}/./cut.csv"):
+        code, out, err = run(capsys, [*argv, "--gnuplot", same, "--out", str(csv)])
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert not csv.exists()
     code, _, _ = run(capsys, [*argv, "--gnuplot", str(gp), "--out", str(csv)])
     assert code == 0
     text = gp.read_text()

@@ -84,11 +84,13 @@ def test_gnuplot_stub_matches_golden(capsys, tmp_path):
     assert stub == (DATA / "gnuplot_stub.gp").read_text(encoding="utf-8")
 
 
-def test_config_axis2_leaves_sweep_one_dimensional(capsys, tmp_path):
-    # --config sets its keys as defaults on every subcommand, axis2 included
+def test_config_key_a_subcommand_lacks_leaves_it_unchanged(capsys, tmp_path):
+    # --config sets its keys as defaults on every subcommand, even one without the
+    # flag: compare has no --engines
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("axis2 = delta_a:-60:60:9\n")
-    assert_matches_golden(run_case([*SWEEP, "--config", str(cfg)], capsys), "sweep")
+    cfg.write_text("engines = analytic\n")
+    assert_matches_golden(run_case([*CASES["compare"], "--config", str(cfg)], capsys),
+                          "compare")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from qdblockade import (
     HilbertSpace,
     ModelParams,
     SingularSystemError,
-    converged_solve,
     model,
     solve_steady_state,
     steady_state,
@@ -298,7 +297,27 @@ def test_far_detuned_tail_flattens():
     assert steps[2] < 0.2
 
 
-def test_grid_matches_per_point_solves():
+def ladder_oracle(params, cutoff, rel_tol):
+    """The per-cell cutoff ladder that ``steady_state_grid``'s rungs replaced: steps
+    of 4 from ``cutoff`` up to ``steady_state.MAX_CUTOFF``, one point at a time,
+    until g2 and n_a both move by less than ``rel_tol``."""
+    def rel_change(old, new):
+        if (math.isnan(old) and math.isnan(new)) or old == new:
+            return 0.0
+        return abs(new - old) / max(abs(new), 1e-9)
+
+    prev = solve_steady_state(params, HilbertSpace(cutoff))
+    for c in range(cutoff + 4, steady_state.MAX_CUTOFF + 1, 4):
+        cur = solve_steady_state(params, HilbertSpace(c))
+        if (rel_change(prev.g2_zero, cur.g2_zero) < rel_tol
+                and rel_change(prev.n_a, cur.n_a) < rel_tol):
+            return cur
+        prev = cur
+    raise CutoffConvergenceError(f"observables not settled to rel_tol={rel_tol:g} "
+                                 f"by cutoff {steady_state.MAX_CUTOFF}")
+
+
+def test_grid_matches_per_point_solves(monkeypatch):
     # rows: the reference drives, no drive (a dark state), an overflowing one and
     # a strong one; columns: the reference point, a lossless one and two detuned
     # ones.  The strong cells (3, 0) and (3, 3) are resonant (E = 2, delta =
@@ -311,10 +330,12 @@ def test_grid_matches_per_point_solves():
                   U=[[0.0005], [0.0], [0.0005], [0.0005]],
                   kappa=[1.0, 0.0, 1.0, 1.0], gamma=[1.0, 0.0, 1.0, 1.0])
     cells = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in fields.values()))
-    for rel_tol in (None, 1e-6):
-        # empty caches, so that the grid's threads fill those of cutoffs 12-20: on
-        # a 2-CPU machine 2 workers share cells 1-15 and take the strong cells
-        # 12 and 15 side by side
+    for rel_tol in (None, 1e-6, 0.0):
+        if rel_tol == 0.0:
+            # no cell meets it, so every solved cell climbs to the top rung, lowered
+            # to 12 to keep the test short, and fails there
+            monkeypatch.setattr(steady_state, "MAX_CUTOFF", 12)
+        # empty caches, so that the grid fills those of cutoffs 8-20 itself
         model._generator_parts.cache_clear()
         steady_state._ordered_system.cache_clear()
         grid = steady_state_grid(4, rel_tol, **fields)
@@ -325,9 +346,10 @@ def test_grid_matches_per_point_solves():
             p = ModelParams(**{k: float(c[index]) for k, c in zip(fields, cells)})
             try:
                 res = (solve_steady_state(p, HilbertSpace(4)) if rel_tol is None
-                       else converged_solve(p, initial_cutoff=4, rel_tol=rel_tol))
+                       else ladder_oracle(p, 4, rel_tol))
             except BlockadeError as exc:
                 assert type(grid.failure[index]) is type(exc)
+                assert str(grid.failure[index]) == str(exc)
             else:
                 assert grid.failure[index] is None
                 for arr, value in zip(expected, (res.g2_zero, res.n_a, res.cutoff_used,
@@ -336,12 +358,35 @@ def test_grid_matches_per_point_solves():
         for got, want in zip(grid[:4], expected):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want, equal_nan=True)
-        assert grid.g2[0, 0] == pytest.approx(0.0232, rel=0.01)
-        assert grid.failure[1, 0] is None and math.isnan(grid.g2[1, 0])
         assert isinstance(grid.failure[2, 0], SingularSystemError)
         assert isinstance(grid.failure[1, 1], DegenerateSteadyStateError)
-    assert grid.cutoff_used[0, 0] == 8  # the ladder settles one rung above 4
-    assert list(grid.cutoff_used[3]) == [20, 4, 8, 20]
+        if rel_tol == 0.0:
+            assert all(isinstance(grid.failure[index], CutoffConvergenceError)
+                       for index in [(0, 0), (1, 0), (3, 0), (3, 3)])
+        else:
+            assert grid.g2[0, 0] == pytest.approx(0.0232, rel=0.01)
+            assert grid.failure[1, 0] is None and math.isnan(grid.g2[1, 0])
+        if rel_tol == 1e-6:
+            assert grid.cutoff_used[0, 0] == 8  # the ladder settles one rung above 4
+            assert list(grid.cutoff_used[3]) == [20, 4, 8, 20]
+
+
+def test_each_cutoff_fills_its_caches_once():
+    # every rung solves its first open cell before its threads start, so no two
+    # threads fill one cutoff's caches side by side
+    model._generator_parts.cache_clear()
+    steady_state._ordered_system.cache_clear()
+    history = []
+    grid = steady_state_grid(4, 1e-6, history, delta=[0.0, -20.0, 0.0, 1.0, 0.0],
+                             delta_a=[0.0, -20.0, 0.0, -20.0, 0.0], g=20.0,
+                             E=[2.0, 0.1, 2.0, 0.1, 2.0], U=0.0005)
+    assert grid.failure.tolist() == [None] * 5
+    assert grid.cutoff_used.tolist() == [20, 8, 20, 8, 20]
+    # each rung holds the cells it solved: all five up to 8, then the strong three
+    assert [(h.cutoff_used.tolist(), h.g2.size) for h in history] == [
+        ([4] * 5, 5), ([8] * 5, 5), ([12] * 3, 3), ([16] * 3, 3), ([20] * 3, 3)]
+    assert model._generator_parts.cache_info().misses == len(history)
+    assert steady_state._ordered_system.cache_info().misses == len(history)
 
 
 @pytest.mark.parametrize("g, error", [
@@ -373,32 +418,40 @@ def test_grid_with_an_empty_axis_is_empty():
         assert arr.shape == (0, 3)
 
 
-def test_converged_solve_settles_quickly_at_weak_drive():
+def ladder(params):
+    """A one-cell grid's ladder from cutoff 4 at rel_tol 1e-6, and its rungs."""
     history = []
-    res = converged_solve(REF, history=history)
-    assert res.cutoff_used == 8
-    assert [h.cutoff_used for h in history] == [4, 8]
-    assert abs(history[1].g2_zero - history[0].g2_zero) / history[1].g2_zero < 1e-6
+    grid = steady_state_grid(4, 1e-6, history, **vars(params))
+    assert [h.g2.shape for h in history] == [(1,)] * len(history)
+    return grid, history
+
+
+def test_converged_solve_settles_quickly_at_weak_drive():
+    grid, history = ladder(REF)
+    assert grid.cutoff_used == 8
+    assert [h.cutoff_used[0] for h in history] == [4, 8]
+    assert abs(history[1].g2[0] - history[0].g2[0]) / history[1].g2[0] < 1e-6
 
 
 def test_converged_solve_trivial_for_dark_state():
-    res = converged_solve(ModelParams(g=20.0))
-    assert res.cutoff_used == 8  # first comparison settles, nothing to resolve
-    assert res.n_a < 1e-14
+    grid, _ = ladder(ModelParams(g=20.0))
+    assert grid.cutoff_used == 8  # first comparison settles, nothing to resolve
+    assert grid.n_a < 1e-14
 
 
 def test_converged_solve_strong_drive_needs_larger_cutoff():
-    p = ModelParams(delta=0.0, delta_a=0.0, g=20.0, E=2.0, U=0.0005)
-    history = []
-    res = converged_solve(p, history=history)
-    assert res.cutoff_used == 20
-    assert [h.cutoff_used for h in history] == [4, 8, 12, 16, 20]
-    occupations = [h.n_a for h in history]
+    grid, history = ladder(ModelParams(delta=0.0, delta_a=0.0, g=20.0, E=2.0, U=0.0005))
+    assert grid.cutoff_used == 20
+    assert [h.cutoff_used[0] for h in history] == [4, 8, 12, 16, 20]
+    occupations = [h.n_a[0] for h in history]
     assert all(b >= a for a, b in zip(occupations, occupations[1:]))
 
 
 def test_converged_solve_reports_failure(monkeypatch):
     monkeypatch.setattr(steady_state, "MAX_CUTOFF", 12)
-    p = ModelParams(delta=0.0, delta_a=0.0, g=20.0, E=2.0, U=0.0005)
-    with pytest.raises(CutoffConvergenceError, match="by cutoff 12"):
-        converged_solve(p)
+    grid, history = ladder(ModelParams(delta=0.0, delta_a=0.0, g=20.0, E=2.0, U=0.0005))
+    assert isinstance(grid.failure.item(), CutoffConvergenceError)
+    assert "by cutoff 12" in str(grid.failure.item())
+    # a cell that did not settle holds nan and the first cutoff tried
+    assert np.isnan(grid.g2) and grid.cutoff_used == 4
+    assert [h.cutoff_used[0] for h in history] == [4, 8, 12]
