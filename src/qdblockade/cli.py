@@ -13,6 +13,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import BlockadeError, CutoffConvergenceError, UndefinedCorrelationE
 from .model import ModelParams
 from .steady_state import MAX_CUTOFF, steady_state_grid
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 AXIS_FIELDS = ("delta", "delta_a", "g", "E", "U")
 _NONNEG_FIELDS = ("g", "E", "U")
@@ -46,6 +47,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    # --help's text is the run's stdout (argparse passes no file): one that cannot
+    # be written exits 2, as a CSV does, where argparse would drop the error or
+    # leave it to fail at exit
+    def print_help(self, file=None):
+        if _emit([self.format_help().removesuffix("\n")], None):
+            self.exit(2)
 
 
 def _parse_axis(text: str) -> tuple[str, float, float, int]:
@@ -130,8 +138,8 @@ def _emit(lines: Iterable[str], out_path: str | None) -> int:
             sys.stdout.flush()  # fail here, not when the interpreter exits
     except OSError as exc:
         if out_path is None and sys.stdout is not None:
-            # the interpreter flushes stdout on exit, which would fail again on
-            # the unwritten rest: send that to the null device instead
+            # a later flush (run's, or the interpreter's at exit) would fail again
+            # on the unwritten rest: send that to the null device instead
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
@@ -202,18 +210,35 @@ def _params_from_args(args) -> ModelParams:
         raise _UsageError(str(exc))
 
 
-def _analytic(cutoff: int, fields: dict) -> tuple:
+def _status(exc: BlockadeError) -> int:
+    """A failed cell's index into _STATUS, by the class of its error."""
+    return 1 if isinstance(exc, CutoffConvergenceError) else 2
+
+
+def _numeric(args, fields: dict) -> tuple:
+    """Steady-state engine: the grid of ``steady_state_grid`` and its status."""
+    grid = steady_state_grid(args.cutoff, args.converge_tol, **fields)
+    status = np.zeros(grid.failure.shape, dtype=np.intp)
+    failed = grid.failure != None  # noqa: E711 (elementwise)
+    # one class test per failed cell, which cost at least one solve each
+    status[failed] = [_status(exc) for exc in grid.failure[failed].tolist()]
+    return (*grid, status)
+
+
+def _analytic(args, fields: dict) -> tuple:
     """Weak-drive engine, one array evaluation for the whole grid; it has no
-    cutoff or residual of its own, so every cell reads ``cutoff`` and nan."""
+    cutoff or residual of its own, so every cell reads ``--cutoff`` and nan."""
     grid = weak_drive_grid(**fields)
     n_a = grid.n_a
     code = np.where(grid.n_a_failure != 0, grid.n_a_failure, grid.g2_failure)
     failure = np.full(code.shape, None, dtype=object)
+    status = np.zeros(code.shape, dtype=np.intp)
     for c in np.unique(code[code != 0]).tolist():  # one exception per failing code
         exc = failure_error(c)
         if not isinstance(exc, UndefinedCorrelationError):  # that leaves only g2 nan
-            failure[code == c], n_a[code == c] = exc, math.nan
-    return grid.g2, n_a, cutoff, math.nan, failure
+            cells = code == c
+            failure[cells], n_a[cells], status[cells] = exc, math.nan, _status(exc)
+    return grid.g2, n_a, args.cutoff, math.nan, failure, status
 
 
 def cmd_grid(args) -> int:
@@ -221,11 +246,11 @@ def cmd_grid(args) -> int:
 
     Every column gets the fixed fields as numbers and the axes as broadcast
     dimensions, ``--axis`` (n1,) and the slow ``--axis2`` (n2, 1).  It returns
-    arrays in the grid's shape (g2, n_a, cutoff_used, residual) and an object
-    array of per-point failures (None or the BlockadeError).  A failing point
-    holds nan cells, and the first failing column in output order sets its
-    status; ``point`` (shape ()) exits 3 on it instead.  ``_csv_rows`` formats
-    the rows column by column, in C order.
+    arrays in the grid's shape (g2, n_a, cutoff_used, residual), an object
+    array of per-point failures (None or the BlockadeError) and each point's
+    index into _STATUS.  A failing point holds nan cells, and the first failing
+    column in output order sets its status; ``point`` (shape ()) exits 3 on it
+    instead.  ``_csv_rows`` formats the rows column by column, in C order.
     """
     base = _params_from_args(args)
     if args.command == "compare":
@@ -254,19 +279,16 @@ def cmd_grid(args) -> int:
     coords = [np.linspace(start, stop, steps).reshape((steps,) + (1,) * k)
               for k, (_, start, stop, steps) in enumerate(axes)]
     fields = {**vars(base), **dict(zip(names, coords))}
-    outs = [steady_state_grid(args.cutoff, args.converge_tol, **{**fields, **override})
-            if engine == "numeric" else _analytic(args.cutoff, {**fields, **override})
+    outs = [(_numeric if engine == "numeric" else _analytic)(args, {**fields, **override})
             for _, engine, override in columns]
     if not axes:
-        for label, (*_, failure) in zip(labels, outs):
+        for label, (*_, failure, _) in zip(labels, outs):
             if failure.item() is not None:
                 print(f"error: {_ENGINES[label]} failed: {failure.item()}", file=sys.stderr)
                 return 3
-    status = np.zeros(outs[0][-1].shape, dtype=np.intp)  # into _STATUS; first failure wins
-    for *_, failure in reversed(outs):
-        failed = failure != None  # noqa: E711 (elementwise)
-        status[failed] = [1 if isinstance(f, CutoffConvergenceError) else 2
-                          for f in failure[failed].tolist()]
+    status = np.zeros(outs[0][-1].shape, dtype=np.intp)  # the first failure wins
+    for *_, column_status in reversed(outs):
+        np.copyto(status, column_status, where=column_status != 0)
     columns = [(c, "%.8e") for c in coords + [o[0] for o in outs] + [o[1] for o in outs]]
     if info:
         columns += [(outs[0][2], "%d"), (outs[0][3], "%.8e")]  # from the first engine
@@ -395,5 +417,27 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
 
 
+def run() -> NoReturn:
+    """The entry point of ``python -m qdblockade`` and the ``qdblockade`` script.
+
+    It runs :func:`main`, flushes stdout and stderr, and ends the process with
+    main's code through ``os._exit``.  That skips the interpreter's
+    finalization, module teardown and its last garbage collections, which take
+    ~100 ms once SciPy is loaded.  By then main has joined its worker threads
+    and closed its files, so no other work is skipped.  Stdout that cannot be
+    flushed exits 2 with one line, as a failed CSV write does.
+    """
+    code = main()
+    # flush what main left buffered; stdout is None when descriptor 1 was closed
+    if sys.stdout is not None and _emit((), None):
+        code = 2
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # no stream is left to report it on
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -224,11 +224,11 @@ def steady_state_grid(cutoff: int, rel_tol: float | None = None,
     Cells are solved on one thread per CPU the process may use; any other exception
     stops them after their current solve and is raised.  SuperLU factorizations run
     alongside each other, but one slows while another thread runs Python, since
-    SciPy's SuperLU takes the GIL back inside a factorization; so after a rung's
-    first cell, which fills that cutoff's caches, the calling thread waits on the
-    workers instead of solving cells beside them.  Set ``OPENBLAS_NUM_THREADS=1``
-    before SciPy loads, as the CLI does: with BLAS threads inside each
-    factorization the threads lose to one CPU.
+    SciPy's SuperLU takes the GIL back inside a factorization; so the calling
+    thread fills a rung's per-cutoff caches, then waits on the workers instead of
+    solving cells beside them; a one-cell rung is solved on the calling thread.
+    Set ``OPENBLAS_NUM_THREADS=1`` before SciPy loads, as the CLI does: with BLAS
+    threads inside each factorization the threads lose to one CPU.
     """
     import threading
     from concurrent.futures import ThreadPoolExecutor
@@ -252,10 +252,11 @@ def steady_state_grid(cutoff: int, rel_tol: float | None = None,
             else:
                 rung.g2[j], rung.n_a[j], rung.residual[j] = res.g2_zero, res.n_a, res.residual
 
-        solve(0)  # fills the per-cutoff caches before any thread starts
-        if cells.size < 2:
+        if cells.size == 1:  # the ladder calls no rung without open cells
+            solve(0)
             return rung
-        workers = min(cells.size - 1, cpus)
+        _ordered_system(space)  # fills this cutoff's caches before any thread starts
+        workers = min(cells.size, cpus)
         stop = threading.Event()
 
         def work(first: int) -> None:
@@ -270,7 +271,7 @@ def steady_state_grid(cutoff: int, rel_tol: float | None = None,
 
         with ThreadPoolExecutor(workers) as pool:
             try:  # an interrupt, even between two submits, ends the threads after their solve
-                for future in [pool.submit(work, first) for first in range(1, workers + 1)]:
+                for future in [pool.submit(work, first) for first in range(workers)]:
                     future.result()
             finally:
                 stop.set()

@@ -13,6 +13,7 @@ import qdblockade
 from qdblockade import cli, steady_state
 from qdblockade.analytic import failure_error
 from qdblockade.cli import main
+from qdblockade.errors import CutoffConvergenceError
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{8}e[+-]\d{2,3}$")
 REF_ARGS = ["--delta", "-20", "--delta-a", "-20", "--g", "20",
@@ -154,6 +155,45 @@ def test_first_failing_column_sets_status(capsys):
         assert FLOAT_CELL.match(row["g2_numeric"])
         assert row["g2_analytic"] == "nan"
         assert row["status"] == "singular"
+
+
+# a weak row settles by the top rung and a strong one does not; a huge
+# two-photon drive is singular in both engines
+MIXED_MAP = ["sweep2d", "--axis", "E:0.1:1:2", "--axis2", "U:0:1e200:3", "--delta", "2"]
+# gamma = delta = 0 is singular for the weak-drive system only
+DOT_FREE_CUT = ["sweep", "--axis", "delta:-1:1:3", "--gamma", "0", "--E", "0.1"]
+
+
+@pytest.mark.parametrize("argv, statuses", [
+    ([*MIXED_MAP, "--engines", "numeric"], {"ok", "no_converge", "singular"}),
+    ([*MIXED_MAP, "--engines", "analytic"], {"ok", "singular"}),
+    ([*MIXED_MAP, "--engines", "numeric,analytic"], {"ok", "no_converge", "singular"}),
+    ([*DOT_FREE_CUT, "--engines", "analytic"], {"ok", "singular"}),
+    ([*DOT_FREE_CUT, "--engines", "numeric,analytic"], {"ok", "singular"}),
+    (["compare", "--axis", "E:0.1:1e200:3", "--delta", "2", "--U", "0.02"],
+     {"no_converge", "singular"}),
+])
+def test_status_matches_rowwise_class_test(capsys, monkeypatch, argv, statuses):
+    # the engines carry each cell's status out; the row-wise oracle tests the
+    # class of the first failure in column order, cell by cell
+    monkeypatch.setattr(steady_state, "MAX_CUTOFF", 8)
+    failures = []
+    for name in ("_numeric", "_analytic"):
+        def recording(*args, engine=getattr(cli, name)):
+            out = engine(*args)
+            failures.append(out[4])
+            return out
+        monkeypatch.setattr(cli, name, recording)
+    code, out, _ = run(capsys, [*argv, "--g", "20", "--cutoff", "4", "--converge-tol", "1e-6"])
+    assert code == 0
+    want = []
+    for cell in zip(*(f.ravel().tolist() for f in failures)):
+        first = next((f for f in cell if f is not None), None)
+        want.append("ok" if first is None else
+                    "no_converge" if isinstance(first, CutoffConvergenceError) else "singular")
+    got = [r["status"] for r in parse_csv(out)[1]]
+    assert got == want
+    assert set(got) == statuses
 
 
 def test_unsettled_ladder_reads_no_converge(capsys, monkeypatch):
@@ -505,9 +545,13 @@ def test_convergence_table(capsys):
 
 
 def child_env():
-    # the child finds the package where this process imported it from
+    # the child finds the package where this process imported it from, and
+    # buffers its stdout, as a run started by hand does: unbuffered, a flush
+    # missing before the process ends would lose nothing
     src = str(Path(qdblockade.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def test_module_entry_point():
@@ -516,6 +560,70 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("g2_numeric,")
+
+
+# (argv, exit code): a numeric ladder sweep, the paper's analytic map (3.6 MB,
+# far more than a pipe holds), a root search, and each error exit
+ENTRY_POINT_RUNS = {
+    "ladder_sweep": (["sweep", "--axis", "delta_a:-1.8:1.7:8", "--delta", "2", "--g", "20",
+                      "--E", "1", "--U", "0.02", "--engines", "numeric", "--cutoff", "4",
+                      "--converge-tol", "1e-6"], 0),
+    "analytic_map": (["sweep2d", "--axis", "delta:-60:60:241", "--axis2", "delta_a:-60:60:241",
+                      *REF_ARGS[4:], "--engines", "analytic"], 0),
+    "optimum": (["optimum", "--axis", "delta:-60:60:481", "--delta-a", "30", *REF_ARGS[4:]], 0),
+    "usage": (["point", "--cutoff", "1"], 1),
+    "unwritable_out": (["point", "--E", "0.1", "--cutoff", "4",
+                        "--out", "/nonexistent-dir/x.csv"], 2),
+    "solver_failure": (["point", "--kappa", "0", "--gamma", "0", "--delta", "1",
+                        "--cutoff", "4"], 3),
+}
+
+
+@pytest.mark.parametrize("argv, code", ENTRY_POINT_RUNS.values(), ids=ENTRY_POINT_RUNS)
+def test_entry_point_writes_what_main_writes(argv, code):
+    # the entry point ends the process without interpreter teardown, after
+    # delivering every byte main wrote, through a pipe, and main's exit code.
+    # main runs in a child that ends normally, not in this process: SciPy's BLAS
+    # may have loaded here with another thread count, which moves the last
+    # digits of a residual
+    procs = [subprocess.run([sys.executable, *entry, *argv], capture_output=True, timeout=300,
+                            env=child_env())
+             for entry in (["-c", "import sys; from qdblockade.cli import main; sys.exit(main())"],
+                           ["-m", "qdblockade"])]
+    want, got = [(p.returncode, p.stdout, p.stderr) for p in procs]
+    assert got == want
+    assert got[0] == code
+    if code:
+        assert got[2].count(b"\n") == 1, got[2]
+    else:
+        assert got[1].count(b"\n") > 1 and got[2] == b""
+
+
+def test_module_and_script_share_one_entry_point():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    import qdblockade.__main__ as module_main
+
+    pyproject = Path(qdblockade.__file__).resolve().parents[2] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"qdblockade": "qdblockade.cli:run"}
+    assert module_main.run is cli.run  # importing it ran nothing
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["help", "sweep_help"])
+def test_help_to_a_full_device_exits_2(argv, unbuffered):
+    # buffered, argparse's help failed only at interpreter exit (code 120 and an
+    # ignored-exception report); unbuffered, argparse swallowed the error (code 0)
+    env = child_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "qdblockade", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ") and proc.stderr.count("\n") == 1, \
+        proc.stderr
 
 
 def write_to_broken_stdout(how):
@@ -601,10 +709,10 @@ def test_sweep_at_top_cutoff_grows_by_one_factorization_per_worker():
     assert proc.returncode == 0
     _, rows = parse_csv(proc.stdout)
     assert [row["status"] for row in rows] == ["ok"] * 6
-    # cell 0 is solved alone, then min(5, CPUs) workers share the other 5.  With
-    # 2 workers: measured VmHWM 166,296-168,156 kB, against 118,984-119,196 kB
-    # when the cells were solved one after another
-    workers = min(5, len(os.sched_getaffinity(0)))
+    # min(6, CPUs) workers share the 6 cells.  With 2 workers: measured VmHWM
+    # 162,772-164,264 kB (162,264-163,316 kB when cell 0 was solved alone first),
+    # against 118,984-119,196 kB when the cells were solved one after another
+    workers = min(6, len(os.sched_getaffinity(0)))
     assert peak_bytes < 140e6 + 60e6 * (workers - 1)
 
 

@@ -372,8 +372,8 @@ def test_grid_matches_per_point_solves(monkeypatch):
 
 
 def test_each_cutoff_fills_its_caches_once():
-    # every rung solves its first open cell before its threads start, so no two
-    # threads fill one cutoff's caches side by side
+    # every rung fills its caches on the calling thread before its threads start,
+    # so no two threads fill one cutoff's caches side by side
     model._generator_parts.cache_clear()
     steady_state._ordered_system.cache_clear()
     history = []
@@ -387,6 +387,23 @@ def test_each_cutoff_fills_its_caches_once():
         ([4] * 5, 5), ([8] * 5, 5), ([12] * 3, 3), ([16] * 3, 3), ([20] * 3, 3)]
     assert model._generator_parts.cache_info().misses == len(history)
     assert steady_state._ordered_system.cache_info().misses == len(history)
+
+
+def test_rung_cells_are_solved_by_the_workers(monkeypatch):
+    # the calling thread fills a rung's caches and solves no cell of a rung of
+    # two or more; a one-cell rung needs no thread
+    solve = steady_state.solve_steady_state
+    threads = []
+
+    def solve_and_record(params, space):
+        threads.append((space.photon_cutoff, threading.current_thread() is threading.main_thread()))
+        return solve(params, space)
+
+    monkeypatch.setattr(steady_state, "solve_steady_state", solve_and_record)
+    # both cells up to cutoff 8, then the strong one alone
+    steady_state_grid(4, 1e-6, delta=[0.0, 1.0], g=20.0, E=[2.0, 0.1], U=0.0005)
+    assert sorted(threads) == [(4, False), (4, False), (8, False), (8, False),
+                               (12, True), (16, True), (20, True)]
 
 
 @pytest.mark.parametrize("g, error", [
