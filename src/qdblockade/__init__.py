@@ -12,7 +12,6 @@ from .errors import (
     DegenerateSteadyStateError,
     SingularSystemError,
     SteadyStateResidualError,
-    UndefinedCorrelationError,
 )
 from .model import (
     HilbertSpace,

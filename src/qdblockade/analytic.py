@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .errors import BlockadeError, SingularSystemError, UndefinedCorrelationError
+from .errors import SingularSystemError
 from .model import ModelParams
 
 __all__ = [
@@ -41,19 +41,18 @@ _SQRT2 = math.sqrt(2.0)
 # >= 2e-5 deep on the paper's cuts
 _MIN_DIP = 1e-9
 
-# the failures of weak_drive_grid, indexed by their code (0: none), in the
-# order its checks are made: the amplitudes', then n_a's, then g2's
+# the SingularSystemError messages of weak_drive_grid's failures, indexed by
+# their code (0: none), in the order its checks are made: the amplitudes',
+# then n_a's, then g2's
 _FAILURES = (
     None,
-    (SingularSystemError, "vanishing one-photon denominator g^2 - delta' deltaA'"),
-    (SingularSystemError, "vanishing two-photon denominator deltaA'(deltaA'+delta') - g^2"),
-    (SingularSystemError, "vanishing dot denominator delta'"),
-    (SingularSystemError, "vanishing combined denominator deltaA' + delta'"),
-    (SingularSystemError, "weak-drive amplitudes overflow float64"),
-    (SingularSystemError, "weak-drive mean photon number overflows float64"),
-    (UndefinedCorrelationError, "one-photon amplitude vanishes (is E = 0?)"),
-    (SingularSystemError, "weak-drive g2(0) overflows float64"),
-    (UndefinedCorrelationError, "|c1g|^4 underflows float64 (is E tiny?)"),
+    "vanishing one-photon denominator g^2 - delta' deltaA'",
+    "vanishing two-photon denominator deltaA'(deltaA'+delta') - g^2",
+    "vanishing dot denominator delta'",
+    "vanishing combined denominator deltaA' + delta'",
+    "weak-drive amplitudes overflow float64",
+    "weak-drive mean photon number overflows float64",
+    "weak-drive g2(0) overflows float64",
 )
 
 
@@ -78,11 +77,13 @@ class WeakDriveGrid:
     """The weak-drive closed form evaluated cell by cell on broadcast parameter arrays.
 
     ``g2`` is 2 |c2g|^2 / |c1g|^4 and ``n_a`` is |c1g|^2.  Each ``*_failure``
-    array is 0 where that quantity is defined and otherwise the code of the
+    array is 0 where that quantity did not fail and otherwise the code of the
     first check it failed (:func:`failure_error` gives the exception); a
     failed cell holds nan.  ``n_a_failure`` and ``g2_failure`` include the
-    amplitudes' failures.  The hierarchy |c2g| <= |c1g| <= 1 that makes the
-    truncation valid is not checked: callers read it off ``c1g`` and ``c2g``.
+    amplitudes' failures.  Where |c1g|^4 is 0, g2 is undefined, as the exact
+    g2 of a dark cavity is: it reads nan with code 0.  The hierarchy
+    |c2g| <= |c1g| <= 1 that makes the truncation valid is not checked:
+    callers read it off ``c1g`` and ``c2g``.
     """
 
     c0e: np.ndarray
@@ -96,10 +97,9 @@ class WeakDriveGrid:
     g2_failure: np.ndarray
 
 
-def failure_error(code: int) -> BlockadeError:
+def failure_error(code: int) -> SingularSystemError:
     """The exception for a failure code of :class:`WeakDriveGrid`."""
-    kind, message = _FAILURES[code]
-    return kind(message)
+    return SingularSystemError(_FAILURES[code])
 
 
 class _Complex:
@@ -201,8 +201,10 @@ def weak_drive_grid(delta=0.0, delta_a=0.0, g=0.0, E=0.0, U=0.0, kappa=1.0,
                 sqrt2 (deltaA'(deltaA'+delta') - g^2)(delta' deltaA' - g^2)
 
     with c0e and c1e recovered by back-substitution.  A zero denominator,
-    non-finite amplitudes, an overflowing n_a or g2 and an undefined g2
-    (|c1g| or |c1g|^4 zero) are failures of their cell, never warnings.
+    non-finite amplitudes and an overflowing n_a or g2 are failures of their
+    cell, never warnings.  An undefined g2 (|c1g| zero, or |c1g|^4 underflowing
+    to zero) is nan with g2 code 0; |c2g|^2 overflowing fails first unless c1g
+    is zero.
     """
     delta, delta_a, g, E, U, kappa, gamma = (
         np.asarray(x, dtype=float) for x in (delta, delta_a, g, E, U, kappa, gamma))
@@ -227,15 +229,14 @@ def weak_drive_grid(delta=0.0, delta_a=0.0, g=0.0, E=0.0, U=0.0, kappa=1.0,
     n_a_failure = np.where(fine, np.where(np.isinf(n_a), 6, 0), amplitudes_failure)
     two = c2g.modulus() ** 2
     four = one**4
-    g2 = 2.0 * two / four
-    # |c2g|^2 overflowing is checked before |c1g|^4 underflowing
-    g2_failure = np.where(
-        fine, _first_failure((7, one == 0), (8, np.isinf(two) | np.isinf(four)), (9, four == 0)),
-        amplitudes_failure)
+    # g2 is undefined where c1g = 0, before anything else; where it is not,
+    # |c2g|^2 overflowing fails before |c1g|^4 underflowing makes g2 undefined
+    g2_failure = np.where(fine, np.where((one != 0) & (np.isinf(two) | np.isinf(four)), 7, 0),
+                          amplitudes_failure)
 
     return WeakDriveGrid(*(c.or_nan(fine) for c in (c0e, c1g, c1e, c2g)),
                          np.where(n_a_failure == 0, n_a, np.nan),
-                         np.where(g2_failure == 0, g2, np.nan),
+                         np.where((g2_failure == 0) & (four != 0), 2.0 * two / four, np.nan),
                          amplitudes_failure, n_a_failure, g2_failure)
 
 
@@ -343,11 +344,10 @@ def ucpb_roots(params: ModelParams, free: str,
         if cpb_value is not None and abs(x_min - cpb_value) <= 0.5 * gamma:
             roots.append(ConditionRoot(free, x_min, residual, "CPB", g2[i]))
             continue
-        code = int(grid.g2_failure[i])
-        # an undriven one-photon sector leaves g2 undefined: nothing to compare against
-        if code and not isinstance(failure_error(code), UndefinedCorrelationError):
-            raise failure_error(code)
-        if code or g2[i] < 0.5:
+        if grid.g2_failure[i]:
+            raise failure_error(int(grid.g2_failure[i]))
+        # an undriven one-photon sector leaves g2 undefined (nan): nothing to compare against
+        if not g2[i] >= 0.5:
             roots.append(ConditionRoot(free, x_min, residual, "UCPB", g2[i]))
 
     if hyperbola and not any(r.kind == "CPB" and abs(r.value - cpb_value) <= 0.5 * gamma

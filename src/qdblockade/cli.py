@@ -18,7 +18,7 @@ from typing import NoReturn
 import numpy as np
 
 from .analytic import failure_error, ucpb_roots, weak_drive_grid
-from .errors import BlockadeError, CutoffConvergenceError, UndefinedCorrelationError
+from .errors import BlockadeError, CutoffConvergenceError
 from .model import ModelParams
 from .steady_state import MAX_CUTOFF, steady_state_grid
 
@@ -234,10 +234,8 @@ def _analytic(args, fields: dict) -> tuple:
     failure = np.full(code.shape, None, dtype=object)
     status = np.zeros(code.shape, dtype=np.intp)
     for c in np.unique(code[code != 0]).tolist():  # one exception per failing code
-        exc = failure_error(c)
-        if not isinstance(exc, UndefinedCorrelationError):  # that leaves only g2 nan
-            cells = code == c
-            failure[cells], n_a[cells], status[cells] = exc, math.nan, _status(exc)
+        exc, cells = failure_error(c), code == c
+        failure[cells], n_a[cells], status[cells] = exc, math.nan, _status(exc)
     return grid.g2, n_a, args.cutoff, math.nan, failure, status
 
 

@@ -26,7 +26,3 @@ class SteadyStateResidualError(BlockadeError):
 
 class CutoffConvergenceError(BlockadeError):
     """Observables failed to settle within the allowed Fock cutoffs."""
-
-
-class UndefinedCorrelationError(BlockadeError):
-    """g2(0) requested for a state with (numerically) zero photons."""

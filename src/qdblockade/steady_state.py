@@ -226,7 +226,7 @@ def steady_state_grid(cutoff: int, rel_tol: float | None = None,
     alongside each other, but one slows while another thread runs Python, since
     SciPy's SuperLU takes the GIL back inside a factorization; so the calling
     thread fills a rung's per-cutoff caches, then waits on the workers instead of
-    solving cells beside them; a one-cell rung is solved on the calling thread.
+    solving cells beside them, one worker for a one-cell rung.
     Set ``OPENBLAS_NUM_THREADS=1`` before SciPy loads, as the CLI does: with BLAS
     threads inside each factorization the threads lose to one CPU.
     """
@@ -252,11 +252,8 @@ def steady_state_grid(cutoff: int, rel_tol: float | None = None,
             else:
                 rung.g2[j], rung.n_a[j], rung.residual[j] = res.g2_zero, res.n_a, res.residual
 
-        if cells.size == 1:  # the ladder calls no rung without open cells
-            solve(0)
-            return rung
         _ordered_system(space)  # fills this cutoff's caches before any thread starts
-        workers = min(cells.size, cpus)
+        workers = min(cells.size, cpus)  # the ladder calls no rung without open cells
         stop = threading.Event()
 
         def work(first: int) -> None:

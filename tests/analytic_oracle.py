@@ -3,7 +3,8 @@
 ``amplitudes``, ``g2_weak_drive`` and ``mean_photon_weak_drive`` are the
 scalar closed form the package evaluated before it took whole grids as
 arrays: Python complex arithmetic, each failure raised where it is first
-met.  They raise the package's exception types with the same messages.
+met.  They raise the package's exception types with the same messages;
+``g2_weak_drive`` returns nan where g2 is undefined.
 ``amplitudes_linear_solve`` solves the truncated amplitude equations
 directly, with no closed form at all.  Both amplitude functions return
 ``(c0e, c1g, c1e, c2g)``; nothing here warns.
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from qdblockade import ModelParams, SingularSystemError, UndefinedCorrelationError
+from qdblockade import ModelParams, SingularSystemError
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -64,12 +65,12 @@ def amplitudes(params: ModelParams) -> tuple[complex, complex, complex, complex]
 def g2_weak_drive(params: ModelParams) -> float:
     c1g, c2g = amplitudes(params)[1::2]
     one = float(abs(c1g))  # a float raises on overflow where a NumPy scalar warns
-    if one == 0.0:
-        raise UndefinedCorrelationError("one-photon amplitude vanishes (is E = 0?)")
+    if one == 0.0:  # the one-photon amplitude vanishes (is E = 0?)
+        return math.nan
     try:
         return 2.0 * float(abs(c2g)) ** 2 / one**4
-    except ZeroDivisionError:
-        raise UndefinedCorrelationError("|c1g|^4 underflows float64 (is E tiny?)") from None
+    except ZeroDivisionError:  # |c1g|^4 underflows float64 (is E tiny?)
+        return math.nan
     except OverflowError:
         raise SingularSystemError("weak-drive g2(0) overflows float64") from None
 

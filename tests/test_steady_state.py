@@ -390,8 +390,8 @@ def test_each_cutoff_fills_its_caches_once():
 
 
 def test_rung_cells_are_solved_by_the_workers(monkeypatch):
-    # the calling thread fills a rung's caches and solves no cell of a rung of
-    # two or more; a one-cell rung needs no thread
+    # the calling thread fills a rung's caches and solves no cell, not even
+    # the one cell of a one-cell rung
     solve = steady_state.solve_steady_state
     threads = []
 
@@ -403,7 +403,7 @@ def test_rung_cells_are_solved_by_the_workers(monkeypatch):
     # both cells up to cutoff 8, then the strong one alone
     steady_state_grid(4, 1e-6, delta=[0.0, 1.0], g=20.0, E=[2.0, 0.1], U=0.0005)
     assert sorted(threads) == [(4, False), (4, False), (8, False), (8, False),
-                               (12, True), (16, True), (20, True)]
+                               (12, False), (16, False), (20, False)]
 
 
 @pytest.mark.parametrize("g, error", [
@@ -443,20 +443,20 @@ def ladder(params):
     return grid, history
 
 
-def test_converged_solve_settles_quickly_at_weak_drive():
+def test_one_cell_ladder_settles_quickly_at_weak_drive():
     grid, history = ladder(REF)
     assert grid.cutoff_used == 8
     assert [h.cutoff_used[0] for h in history] == [4, 8]
     assert abs(history[1].g2[0] - history[0].g2[0]) / history[1].g2[0] < 1e-6
 
 
-def test_converged_solve_trivial_for_dark_state():
+def test_one_cell_ladder_trivial_for_dark_state():
     grid, _ = ladder(ModelParams(g=20.0))
     assert grid.cutoff_used == 8  # first comparison settles, nothing to resolve
     assert grid.n_a < 1e-14
 
 
-def test_converged_solve_strong_drive_needs_larger_cutoff():
+def test_one_cell_ladder_strong_drive_needs_larger_cutoff():
     grid, history = ladder(ModelParams(delta=0.0, delta_a=0.0, g=20.0, E=2.0, U=0.0005))
     assert grid.cutoff_used == 20
     assert [h.cutoff_used[0] for h in history] == [4, 8, 12, 16, 20]
@@ -464,7 +464,7 @@ def test_converged_solve_strong_drive_needs_larger_cutoff():
     assert all(b >= a for a, b in zip(occupations, occupations[1:]))
 
 
-def test_converged_solve_reports_failure(monkeypatch):
+def test_one_cell_ladder_reports_failure(monkeypatch):
     monkeypatch.setattr(steady_state, "MAX_CUTOFF", 12)
     grid, history = ladder(ModelParams(delta=0.0, delta_a=0.0, g=20.0, E=2.0, U=0.0005))
     assert isinstance(grid.failure.item(), CutoffConvergenceError)
