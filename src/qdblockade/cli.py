@@ -383,9 +383,10 @@ def _build_parser() -> tuple[_Parser, dict]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # SciPy's BLAS, which SuperLU calls, loads after this (importing the package
-    # loads no SciPy).  steady_state_grid runs a factorization per CPU, and BLAS
-    # threads on top of those slow it below one CPU's pace; a set value still wins
+    # steady_state_grid runs a solve per CPU, and BLAS threads on top of those
+    # slow it below one CPU's pace; a set value still wins.  NumPy's BLAS, which
+    # the band solves call, loaded with the package, before this line, so only
+    # SciPy's, for SuperLU on a cell the band refuses, still reads it here
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")
     argv = list(sys.argv[1:] if argv is None else argv)

@@ -94,7 +94,6 @@ class ModelParams:
             raise ValueError("g, E, U must be nonnegative")
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def build_liouvillian(params: ModelParams, space: HilbertSpace) -> sp.csc_array:
     """Sparse generator L (CSC) with d vec(rho)/dt = L vec(rho).
 
@@ -105,15 +104,32 @@ def build_liouvillian(params: ModelParams, space: HilbertSpace) -> sp.csc_array:
     """
     import scipy.sparse as sp  # deferred: the weak-drive paths never load SciPy
 
-    indices, indptr, (loss, decay, *commutators) = _generator_parts(space)
-    weights = (params.delta, params.delta_a, params.g, params.E, params.U)
-    data = np.zeros(indices.size, dtype=complex)
-    data.real = 0.5 * params.kappa * loss + 0.5 * params.gamma * decay
-    for w, k in zip(weights, commutators):
-        if w != 0.0:
-            data.imag += w * k
+    indices, indptr, values = _generator_parts(space)
+    data = _generator_data(values, [params])[0]
     n2 = space.dim * space.dim
     return sp.csc_array((data, indices, indptr), shape=(n2, n2))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _generator_data(values: np.ndarray, params: list[ModelParams]) -> np.ndarray:
+    """The generator's entries for each of ``params``, one row each, on the
+    entries of ``values``: the seven real blocks of ``_generator_parts``, its
+    entries in any order.
+
+    Each entry is the same sum of products whichever cells share the call.  A
+    weight that is 0 in every cell is skipped; one that is 0 in some adds 0 * k,
+    which leaves every entry's bits as they are, since no entry of the
+    imaginary part is ever -0.0.
+    """
+    loss, decay, *commutators = values
+    fields = np.array([list(vars(p).values()) for p in params]).reshape(-1, 7)
+    *weights, kappa, gamma = fields.T[:, :, np.newaxis]  # each (cells, 1)
+    data = np.zeros((len(params), loss.size), dtype=complex)
+    data.real = 0.5 * kappa * loss + 0.5 * gamma * decay
+    for w, k in zip(weights, commutators):
+        if w.any():
+            data.imag += w * k
+    return data
 
 
 def _csc_pattern(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,18 @@
 """Exact steady state of the master equation and its photon statistics.
 
 Solves L vec(rho) = 0 with the trace pinned to one by replacing row 0 of the
-sparse Liouvillian with the trace functional and factoring it with SuperLU.
-That replaced matrix has one sparsity pattern per cutoff, so its
-fill-reducing ordering and its permuted CSC pattern are computed once per
-cutoff and cached; each solve only fills in the values.  A failed solve is
-raised, never retried on a densified generator, so memory stays bounded by
-the sparse factors at every cutoff.
+Liouvillian with the trace functional.  For rho[(q,n),(q',m)] take the
+excitation difference d = (n + q) - (m + q'): the delta, delta_a and g terms
+and both dissipators conserve it, the drive E shifts it by one and U by two.
+Ordered by d, L is block-pentadiagonal over 2N + 3 blocks of at most 4N + 2
+unknowns, and the trace row and every diagonal entry of rho lie in block
+d = 0.  That band is factored by block elimination along d in NumPy, for a
+batch of cells at a time, and one step of iterative refinement follows.
+Its layout is computed once per cutoff and cached; each solve fills in the
+values.  A cell the band refuses (a singular diagonal block, non-finite
+values or a missed residual bound) is solved again by SuperLU, which alone
+solves very large drives, and only then is SciPy loaded.  Neither solver
+densifies the generator, so memory stays bounded at every cutoff.
 The solved rho is used as-is: no Hermitization or eigenvalue clamping, so the
 validity checks in tests measure the solver rather than a cosmetic cleanup.
 
@@ -34,7 +40,14 @@ from .errors import (
     SingularSystemError,
     SteadyStateResidualError,
 )
-from .model import HilbertSpace, ModelParams, _csc_pattern, _generator_parts, build_liouvillian
+from .model import (
+    HilbertSpace,
+    ModelParams,
+    _csc_pattern,
+    _generator_data,
+    _generator_parts,
+    build_liouvillian,
+)
 
 __all__ = [
     "SteadyStateGrid",
@@ -49,6 +62,10 @@ MAX_CUTOFF = 40
 
 # occupations below this are treated as exactly dark when forming ratios
 _DARK_FLOOR = 1e-12
+# band bytes of one batch of cells: a grid worker solves as many cells at a
+# time as fit, and at least one (a cutoff-10 cell's band is 1.1 MB)
+_BATCH_BYTES = 8 << 20
+_DEGENERATE = "trace-replaced Liouvillian is singular; no unique trace-one steady state"
 
 
 @dataclass(frozen=True)
@@ -71,9 +88,159 @@ def _statistics(rho: np.ndarray, space: HilbertSpace) -> tuple[float, float]:
     return float((n * (n - 1)) @ p) / (n_a * n_a), n_a
 
 
+class _Band(NamedTuple):
+    """Read-only layout of the trace-replaced system on one space, ordered by d.
+
+    The generator's entries are held row by row: ``values`` are the real blocks
+    of ``_generator_parts`` on them, ``cols`` their columns and ``row_starts``
+    the first entry of each row (no row is empty), so the entries past
+    ``row_starts[1]`` are those the trace row keeps.  ``order`` lists the vec
+    index of each unknown, block by block, and ``rank`` is its inverse;
+    ``bounds`` holds where each block starts among the unknowns, then their
+    count.  One cell's band is a flat array of ``size`` entries, block (k, k + o)
+    at ``blocks[k][o + 2]`` as (start, rows, cols), or None off the band's
+    edges; the entries past row 0 go to ``dest`` and the trace row's ones to
+    ``trace_dest``.
+    """
+
+    values: np.ndarray
+    cols: np.ndarray
+    row_starts: np.ndarray
+    order: np.ndarray
+    rank: np.ndarray
+    bounds: tuple[int, ...]
+    blocks: tuple[tuple[tuple[int, int, int] | None, ...], ...]
+    size: int
+    dest: np.ndarray
+    trace_dest: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _band_system(space: HilbertSpace) -> _Band:
+    """The band layout of the trace-replaced system on ``space`` (5.9 MB at cutoff 40)."""
+    gen_indices, gen_indptr, values = _generator_parts(space)
+    dim, n2 = space.dim, space.dim * space.dim
+    rows = gen_indices.astype(np.intp)
+    cols = np.repeat(np.arange(n2), np.diff(gen_indptr))
+    by_row = np.lexsort((cols, rows))
+    rows, cols = rows[by_row], cols[by_row]
+    row_starts = np.searchsorted(rows, np.arange(n2))
+
+    excitation = np.tile(np.arange(space.fock_dim), 2) + np.repeat([0, 1], space.fock_dim)
+    vec = np.arange(n2)
+    d = excitation[vec % dim] - excitation[vec // dim]  # vec(rho)[j dim + i] is rho[i, j]
+    order = np.argsort(d, kind="stable")
+    rank = np.empty(n2, dtype=np.intp)
+    rank[order] = vec
+    block = d - d.min()
+    sizes = np.bincount(block)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    pos = rank - bounds[block]  # place of each unknown within its block
+
+    start, blocks = 0, []
+    for k, rows_k in enumerate(sizes.tolist()):
+        row = []
+        for o in range(-2, 3):
+            if 0 <= k + o < sizes.size:
+                row.append((start, rows_k, int(sizes[k + o])))
+                start += rows_k * int(sizes[k + o])
+            else:
+                row.append(None)
+        blocks.append(tuple(row))
+    first = np.array([[b[0] if b else -1 for b in row] for row in blocks])
+
+    def place(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return first[block[r], block[c] - block[r] + 2] + pos[r] * sizes[block[c]] + pos[c]
+
+    kept = slice(row_starts[1], None)
+    trace = np.arange(dim) * (dim + 1)  # vec(I) has its ones at the diagonal of rho
+    out = _Band(values[:, by_row], cols, row_starts, order, rank, tuple(bounds.tolist()),
+                tuple(blocks), start, place(rows[kept], cols[kept]),
+                place(np.zeros(dim, dtype=np.intp), trace))
+    for arr in out:
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return out
+
+
+def _batch_cells(space: HilbertSpace) -> int:
+    """Cells in one batch on ``space``: as many bands as fit in _BATCH_BYTES."""
+    return max(1, _BATCH_BYTES // (16 * _band_system(space).size))
+
+
+def _factor(blocks: list[list]) -> None:
+    """Block LU of the band in place, along d, for every cell at once.
+
+    Each Schur-updated diagonal block is replaced by its inverse and each upper
+    block (k, k + j) by the multiplier inv(S_k) A[k, k + j]; the lower blocks
+    keep their Schur-updated values.  Raises LinAlgError if a diagonal block of
+    any cell is singular.
+    """
+    nb = len(blocks)
+    for k in range(nb):
+        inv = blocks[k][2]
+        inv[...] = np.linalg.inv(inv)
+        for j in (1, 2):
+            if k + j < nb:
+                blocks[k][2 + j][...] = inv @ blocks[k][2 + j]
+        for i in (1, 2):
+            if k + i < nb:
+                for j in (1, 2):
+                    if k + j < nb:
+                        blocks[k + i][2 + j - i] -= blocks[k + i][2 - i] @ blocks[k][2 + j]
+
+
+def _substitute(blocks: list[list], bounds: tuple[int, ...], y: np.ndarray) -> None:
+    """Overwrite ``y``, (cells, unknowns) in band order, with A^-1 y from ``_factor``'s
+    factors: forward through the lower blocks and inverses, back through the
+    multipliers."""
+    nb = len(blocks)
+    part = [y[:, bounds[k]:bounds[k + 1], np.newaxis] for k in range(nb)]
+    for k in range(nb):
+        for i in (1, 2):
+            if k >= i:
+                part[k] -= blocks[k][2 - i] @ part[k - i]
+        part[k][...] = blocks[k][2] @ part[k]
+    for k in range(nb - 1, -1, -1):
+        for j in (1, 2):
+            if k + j < nb:
+                part[k] -= blocks[k][2 + j] @ part[k + j]
+
+
+def _apply(data: np.ndarray, x: np.ndarray, band: _Band) -> np.ndarray:
+    """L x for each cell, with ``data`` the generator's entries in row order."""
+    return np.add.reduceat(data * x[:, band.cols], band.row_starts, axis=1)
+
+
+def _band_solve(data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(vec(rho), ||L vec(rho)||_inf) of each cell on ``space``, whose generator
+    entries, in row order, are the rows of ``data``; LinAlgError if a diagonal
+    block of any cell is singular.  Each cell's bits are independent of the others."""
+    band, cells = _band_system(space), len(data)
+    flat = np.zeros((cells, band.size), dtype=complex)
+    flat[:, band.dest] = data[:, band.row_starts[1]:]
+    flat[:, band.trace_dest] = 1.0
+    blocks = [[None if b is None else flat[:, b[0]:b[0] + b[1] * b[2]].reshape(cells, b[1], b[2])
+               for b in row] for row in band.blocks]
+    _factor(blocks)
+    y = np.zeros((cells, band.rank.size), dtype=complex)
+    y[:, band.rank[0]] = 1.0  # b, the trace row's 1
+    _substitute(blocks, band.bounds, y)
+    x = y[:, band.rank]
+    # one step of refinement on b - A x: row 0 of A is the trace, the rest that of L
+    r = -_apply(data, x, band)
+    # a strided row sums in another order when there are several rows: copy it first
+    r[:, 0] = 1.0 - np.ascontiguousarray(x[:, ::space.dim + 1]).sum(axis=1)
+    y = r[:, band.order]
+    _substitute(blocks, band.bounds, y)
+    x += y[:, band.rank]
+    return x, np.abs(_apply(data, x, band)).max(axis=1)
+
+
 @lru_cache(maxsize=None)
 def _ordered_system(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``(indices, indptr, perm, src)`` of the trace-replaced system on ``space``.
+    """Read-only ``(indices, indptr, perm, src)`` of the trace-replaced system on ``space``
+    for SuperLU, which ``_superlu_steady_state`` solves.
 
     A is the generator with row 0 replaced by the trace functional vec(I)'.
     ``perm`` is SuperLU's minimum-degree order on the pattern of A + A^T, and
@@ -117,34 +284,15 @@ def _ordered_system(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.nda
 
 # overflow leaves inf or nan, which the finiteness check refuses
 @np.errstate(over="ignore", invalid="ignore")
-def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateResult:
-    """Steady state via trace-row replacement on the sparse Liouvillian.
+def _superlu_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateResult:
+    """The steady state of one cell the band refused, by SuperLU; it raises the
+    classes :func:`solve_steady_state` lists.
 
-    The replaced system is factored by SuperLU on the cached, symmetrically
-    permuted pattern of ``_ordered_system`` (minimum-degree order of A + A^T,
-    diagonal pivots preferred), and one step of iterative refinement keeps
-    the weakly occupied sectors accurate.  The solution must meet
-    ||L vec(rho)||_inf <= 1e-9 on the unpermuted L.
-
-    Failures are read off that one path, in four classes:
-
-    - DegenerateSteadyStateError: A is exactly singular when L has no unique
-      trace-one null vector (row 0 of L is minus the sum of its other diagonal
-      rows, since vec(I)' L = 0), so a singular factorization raises it.
-    - SingularSystemError, huge entries: a singular factorization of an L whose
-      largest entry times the float64 epsilon is at least 1.  At that scale
-      rounding exceeds a unit rate, and a well-posed strong drive can factor
-      as singular too, so degeneracy cannot be told.
-    - SingularSystemError, overflow: an overflowing generator or a non-finite
-      solution.
-    - SteadyStateResidualError: a finite miss of the residual bound.  The bound
-      is absolute, so rounding in large entries misses it as well.
-
-    At cutoff 4 with kappa = gamma = 1, drives from E = 3e7 up miss the
-    residual bound; some from E = 5e37 up (E = 1e40, 1e80, 1e300) factor as
-    singular instead and read as huge entries.
+    The replaced system is factored on the cached, symmetrically permuted
+    pattern of ``_ordered_system`` (minimum-degree order of A + A^T, diagonal
+    pivots preferred), and one step of iterative refinement follows.
     """
-    import scipy.sparse as sp  # deferred: the weak-drive paths never load SciPy
+    import scipy.sparse as sp  # deferred: only a refused cell loads SciPy
     from scipy.sparse.linalg import splu
 
     liou = build_liouvillian(params, space)
@@ -166,9 +314,7 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
                 f"trace-replaced Liouvillian is singular at entry magnitude {scale:.2e}, "
                 "where rounding exceeds 1, the unit of every rate; degeneracy cannot be told"
             ) from None
-        raise DegenerateSteadyStateError(
-            "trace-replaced Liouvillian is singular; no unique trace-one steady state"
-        ) from None
+        raise DegenerateSteadyStateError(_DEGENERATE) from None
     y = lu.solve(b)
     y += lu.solve(b - a @ y)
     x = y[perm]  # undo P
@@ -181,6 +327,87 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
     rho = x.reshape((space.dim, space.dim), order="F")  # undo the column stacking
     g2, n_a = _statistics(rho, space)
     return SteadyStateResult(rho, g2, n_a, space.photon_cutoff, residual)
+
+
+# overflow leaves inf or nan, which the band refuses
+@np.errstate(over="ignore", invalid="ignore")
+def _solve_batch(params: list[ModelParams], space: HilbertSpace) -> list[SteadyStateResult |
+                                                                        BlockadeError]:
+    """The steady state of each of ``params`` on ``space``, or the BlockadeError its
+    solve raised, as :func:`solve_steady_state` gives it: the band solves the
+    cells together, and each cell it refuses is solved alone by SuperLU."""
+    out: list = [None] * len(params)
+    # a decoupled lossless cavity evolves unitarily, so every function of its
+    # Hamiltonian is stationary; its dot populations may be unique, its cavity's not
+    cells = []
+    for i, p in enumerate(params):
+        if p.g == 0.0 and p.kappa == 0.0:
+            out[i] = DegenerateSteadyStateError(_DEGENERATE)
+        else:
+            cells.append(i)
+    data = _generator_data(_band_system(space).values, [params[i] for i in cells])
+    finite = np.isfinite(data).all(axis=1)  # an overflowing generator is refused
+    x = np.full((len(cells), space.dim ** 2), math.nan, dtype=complex)
+    residual = np.full(len(cells), math.nan)
+    try:
+        x[finite], residual[finite] = _band_solve(data[finite], space)
+    except np.linalg.LinAlgError:  # a singular diagonal block: solve each cell alone
+        for c in np.flatnonzero(finite).tolist():
+            try:
+                x[c:c + 1], residual[c:c + 1] = _band_solve(data[c:c + 1], space)
+            except np.linalg.LinAlgError:
+                pass
+    ok = np.isfinite(x).all(axis=1) & (residual <= RESIDUAL_TOL)
+    for c, i in enumerate(cells):
+        if ok[c]:
+            rho = x[c].reshape((space.dim, space.dim), order="F")  # undo the column stacking
+            out[i] = SteadyStateResult(rho, *_statistics(rho, space), space.photon_cutoff,
+                                       float(residual[c]))
+            continue
+        try:
+            out[i] = _superlu_steady_state(params[i], space)
+        except BlockadeError as exc:
+            out[i] = exc
+    return out
+
+
+def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateResult:
+    """Steady state via trace-row replacement, by block elimination on the d band.
+
+    The replaced system is factored block by block along d (inverses of the
+    Schur-updated diagonal blocks, multipliers over the upper band), and one
+    step of iterative refinement follows.  The solution must meet
+    ||L vec(rho)||_inf <= 1e-9 on the unpermuted L.  A cell the band refuses, on
+    a singular diagonal block, non-finite values or a missed bound, is solved
+    again by SuperLU on a minimum-degree order, as ``_superlu_steady_state``,
+    and that solve's number or failure is the result.  With kappa = gamma = 1,
+    g = 20 and U = 0.05 the band misses the bound from E = 3e4 at cutoff 4 and
+    E = 1e5 at cutoff 10, and SuperLU meets it up to E = 1e7.
+
+    Failures fall in four classes:
+
+    - DegenerateSteadyStateError: g = kappa = 0, where a decoupled lossless cavity
+      has no unique steady state, refused before any solve; or A is exactly
+      singular, as it is when L has no unique trace-one null vector (row 0 of L
+      is minus the sum of its other diagonal rows, since vec(I)' L = 0), so a
+      singular SuperLU factorization raises it.
+    - SingularSystemError, huge entries: a singular factorization of an L whose
+      largest entry times the float64 epsilon is at least 1.  At that scale
+      rounding exceeds a unit rate, and a well-posed strong drive can factor
+      as singular too, so degeneracy cannot be told.
+    - SingularSystemError, overflow: an overflowing generator or a non-finite
+      solution.
+    - SteadyStateResidualError: a finite miss of the residual bound.  The bound
+      is absolute, so rounding in large entries misses it as well.
+
+    At cutoff 4 with kappa = gamma = 1, drives from E = 3e7 up miss the
+    residual bound; some from E = 5e37 up (E = 1e40, 1e80, 1e300) factor as
+    singular instead and read as huge entries.
+    """
+    result = _solve_batch([params], space)[0]
+    if isinstance(result, BlockadeError):
+        raise result
+    return result
 
 
 def _rel_change(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -221,14 +448,13 @@ def steady_state_grid(cutoff: int, rel_tol: float | None = None,
     Pass ``history`` to receive each rung's results, 1-D over the cells that rung
     solved in C order.
 
-    Cells are solved on one thread per CPU the process may use; any other exception
-    stops them after their current solve and is raised.  SuperLU factorizations run
-    alongside each other, but one slows while another thread runs Python, since
-    SciPy's SuperLU takes the GIL back inside a factorization; so the calling
-    thread fills a rung's per-cutoff caches, then waits on the workers instead of
-    solving cells beside them, one worker for a one-cell rung.
-    Set ``OPENBLAS_NUM_THREADS=1`` before SciPy loads, as the CLI does: with BLAS
-    threads inside each factorization the threads lose to one CPU.
+    Cells are solved on one thread per CPU the process may use, in batches of at
+    most ``_batch_cells`` cells, as many batches for each thread; any other
+    exception stops them after their current batch and is raised.  A cell's
+    result does not depend on its batch or thread.  The calling thread fills a
+    rung's per-cutoff caches, then waits on the workers, one worker for a
+    one-cell rung.  Set ``OPENBLAS_NUM_THREADS=1`` before NumPy loads: with BLAS
+    threads inside each solve the threads oversubscribe the CPUs.
     """
     import threading
     from concurrent.futures import ThreadPoolExecutor
@@ -242,32 +468,33 @@ def steady_state_grid(cutoff: int, rel_tol: float | None = None,
     def solve_rung(cells: np.ndarray, cutoff: int) -> SteadyStateGrid:
         rung, space = _unsolved(cells.shape, cutoff), HilbertSpace(cutoff)
 
-        def solve(j: int) -> None:
-            i = cells[j]
-            params = ModelParams(**{name: float(a.flat[i]) for name, a in zip(fields, arrays)})
-            try:
-                res = solve_steady_state(params, space)
-            except BlockadeError as exc:
-                rung.failure[j] = exc
-            else:
-                rung.g2[j], rung.n_a[j], rung.residual[j] = res.g2_zero, res.n_a, res.residual
+        def solve(batch: np.ndarray) -> None:
+            params = [ModelParams(**{name: float(a.flat[i]) for name, a in zip(fields, arrays)})
+                      for i in cells[batch].tolist()]
+            for j, res in zip(batch.tolist(), _solve_batch(params, space)):
+                if isinstance(res, BlockadeError):
+                    rung.failure[j] = res
+                else:
+                    rung.g2[j], rung.n_a[j], rung.residual[j] = res.g2_zero, res.n_a, res.residual
 
-        _ordered_system(space)  # fills this cutoff's caches before any thread starts
+        per_batch = _batch_cells(space)  # fills this cutoff's caches before any thread starts
         workers = min(cells.size, cpus)  # the ladder calls no rung without open cells
+        rounds = -(-cells.size // (per_batch * workers))
+        batches = np.array_split(np.arange(cells.size), min(cells.size, rounds * workers))
         stop = threading.Event()
 
         def work(first: int) -> None:
             try:
-                for j in range(first, cells.size, workers):
+                for batch in batches[first::workers]:
                     if stop.is_set():
                         return
-                    solve(j)
+                    solve(batch)
             except BaseException:
                 stop.set()
                 raise
 
         with ThreadPoolExecutor(workers) as pool:
-            try:  # an interrupt, even between two submits, ends the threads after their solve
+            try:  # an interrupt, even between two submits, ends the threads after their batch
                 for future in [pool.submit(work, first) for first in range(workers)]:
                     future.result()
             finally:

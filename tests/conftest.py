@@ -1,10 +1,10 @@
 """Shared pytest plumbing: the BLAS thread count and the acceptance-criteria summary block.
 
-SciPy's BLAS gets one thread, as ``cli.main`` gives it in a fresh process.
-main sets this only while SciPy is not loaded yet, and test modules load it
-at collection, after this file: without it an in-process ``main`` run would
-factor with the default thread count and print other residual digits than
-the CLI does.  A value set in the environment still wins.
+NumPy's and SciPy's BLAS get one thread.  Test modules load NumPy at
+collection, after this file, so the band solves in this process run on one
+BLAS thread, and so do SuperLU's on the cells the band refuses, as
+``cli.main`` gives SciPy's BLAS in a fresh process.  Child processes inherit
+the setting.  A value set in the environment still wins.
 
 Acceptance tests register one entry per criterion via record_criterion; the
 terminal summary then prints a single PASS/FAIL line for each, so the

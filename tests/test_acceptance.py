@@ -3,8 +3,9 @@
 Each test checks one numbered target and reports a PASS/FAIL line through
 conftest.record_criterion, so a full run ends with a ten-line scoreboard.
 The fixtures for targets 1-6 solve on steady_state_grid, as the CLI does.
-While their grids run, the solve each cell calls is wrapped to log every
-steady state in _InvariantLog, and target 9 asserts its invariants at once.
+While their grids run, the batch solve the grid's workers call is wrapped to
+log every steady state in _InvariantLog, and target 9 asserts its invariants
+at once.
 """
 
 import math
@@ -60,11 +61,18 @@ INVARIANTS = _InvariantLog()
 
 def _logged_grid(**fields):
     """steady_state_grid at SPACE's cutoff over REF with ``fields`` replaced, solves logged."""
-    solve, seen = steady_state.solve_steady_state, INVARIANTS.count
+    solve, seen = steady_state._solve_batch, INVARIANTS.count
+
+    def solve_and_log(params, space):
+        results = solve(params, space)
+        for result in results:
+            if isinstance(result, steady_state.SteadyStateResult):
+                INVARIANTS.add(result)
+        return results
+
     # the fixtures are module-scoped, so the function-scoped monkeypatch is out of reach
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(steady_state, "solve_steady_state",
-                      lambda params, space: INVARIANTS.add(solve(params, space)))
+        patch.setattr(steady_state, "_solve_batch", solve_and_log)
         grid = steady_state.steady_state_grid(SPACE.photon_cutoff, **{**vars(REF), **fields})
     assert not any(grid.failure.flat) and INVARIANTS.count - seen == grid.g2.size
     return grid

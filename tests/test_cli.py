@@ -75,6 +75,22 @@ def test_point_solver_failure_exits_3(capsys):
     assert "steady-state solve failed" in err
 
 
+def test_decoupled_lossless_cavity_is_degenerate(capsys):
+    # g = kappa = 0: the cavity evolves unitarily, so it has no unique steady
+    # state.  Solving these printed status ok with n_a = -1.35e3 (point) and
+    # -2.9e4, -119 and -3.2e4 (sweep)
+    code, out, err = run(capsys, ["point", "--delta", "1", "--delta-a", "2", "--E", "0.1",
+                                  "--kappa", "0", "--engines", "numeric"])
+    assert (code, out) == (3, "")
+    assert err == ("error: steady-state solve failed: trace-replaced Liouvillian is singular; "
+                   "no unique trace-one steady state\n")
+    code, out, _ = run(capsys, ["sweep", "--axis", "delta_a:18:22:3", "--E", "0.1",
+                                "--U", "0.0005", "--kappa", "0", "--engines", "numeric"])
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{x},nan,nan,10,nan,singular" for x in (
+        "1.80000000e+01", "2.00000000e+01", "2.20000000e+01")]
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--axis", "delta:0:10"],
     ["sweep", "--axis", "delta:0:10:1"],
@@ -717,21 +733,23 @@ def test_point_at_top_cutoff_stays_small():
     _, rows = parse_csv(proc.stdout)
     assert rows[0]["cutoff_used"] == "40"
     assert float(rows[0]["residual"]) < 1e-9
-    # measured VmHWM 117,744 kB (115 MiB); 135,020 kB before the ordering was cached
+    # measured VmHWM 112,736-112,756 kB with the band solver (its band is 58.7 MB);
+    # 117,744 kB with SuperLU, 135,020 kB before SuperLU's ordering was cached
     assert peak_bytes < 200e6
 
 
 def test_sweep_at_top_cutoff_grows_by_one_factorization_per_worker():
-    # the grid solves on every CPU, so each worker holds a cutoff-40 factorization
+    # the grid solves on every CPU, so each worker holds a cutoff-40 band (58.7 MB)
     proc, peak_bytes = run_measuring_peak(["sweep", "--axis", "delta:-30:30:6", *REF_ARGS[2:],
                                            "--cutoff", "40", "--engines", "numeric"],
                                           timeout=300)
     assert proc.returncode == 0
     _, rows = parse_csv(proc.stdout)
     assert [row["status"] for row in rows] == ["ok"] * 6
-    # min(6, CPUs) workers share the 6 cells.  With 2 workers: measured VmHWM
-    # 162,772-164,264 kB (162,264-163,316 kB when cell 0 was solved alone first),
-    # against 118,984-119,196 kB when the cells were solved one after another
+    # min(6, CPUs) workers share the 6 cells, one at a time.  With 2 workers: measured
+    # VmHWM 175,328-175,520 kB with the band solver; with SuperLU 162,772-164,264 kB
+    # (162,264-163,316 kB when cell 0 was solved alone first), against
+    # 118,984-119,196 kB when the cells were solved one after another
     workers = min(6, len(os.sched_getaffinity(0)))
     assert peak_bytes < 140e6 + 60e6 * (workers - 1)
 
@@ -744,7 +762,8 @@ def test_degenerate_point_at_top_cutoff_stays_small():
                                            "--engines", "numeric"], timeout=300)
     assert proc.returncode == 3
     assert "no unique trace-one steady state" in proc.stderr
-    # measured VmHWM 83,908 kB
+    # measured VmHWM 47,120-47,256 kB, refused before any solve (g = kappa = 0);
+    # 83,908 kB when SuperLU factored it as singular
     assert peak_bytes < 200e6
 
 

@@ -1,7 +1,8 @@
 """Which SciPy modules a CLI run loads, checked in child processes.
 
-Only the numeric steady-state solve needs SciPy; an import of the CLI, a
-weak-drive sweep, an ``optimum`` root search and a usage error load none of it.
+Only a cell the band solver refuses needs SciPy, for SuperLU.  An import of
+the CLI, numeric runs whose cells the band solves, a weak-drive sweep, an
+``optimum`` root search and a usage error load none of it.
 """
 
 import subprocess
@@ -45,8 +46,24 @@ def test_weak_drive_runs_and_usage_errors_load_no_scipy(argv, exit_code):
     assert modules == set()
 
 
-def test_numeric_point_loads_the_sparse_solver():
-    code, modules = loaded_scipy(["point", "--E", "0.1", "--cutoff", "4",
+@pytest.mark.parametrize("argv", [
+    ["point", "--E", "0.1", "--cutoff", "4", "--engines", "numeric"],
+    ["sweep2d", "--g", "20", "--E", "0.1", "--U", "0.0005", "--engines", "numeric,analytic",
+     "--axis", "delta:-60:60:5", "--axis2", "delta_a:-60:60:5"],
+    ["compare", "--delta", "30", "--g", "20", "--E", "0.1", "--U", "0.0005", "--cutoff", "6",
+     "--axis", "delta_a:4:40:13"],
+    ["sweep", "--delta", "0", "--g", "20", "--E", "1", "--U", "0.02", "--engines", "numeric",
+     "--cutoff", "4", "--converge-tol", "1e-6", "--axis", "delta_a:-2:1.5:4"],
+], ids=["point", "sweep2d", "compare", "ladder"])
+def test_numeric_runs_load_no_scipy(argv):
+    code, modules = loaded_scipy(argv)
+    assert code == 0
+    assert modules == set()
+
+
+def test_rescued_cell_loads_the_sparse_solver():
+    # the band misses the residual bound at this drive, and SuperLU meets it
+    code, modules = loaded_scipy(["point", "--E", "1e7", "--cutoff", "4",
                                   "--engines", "numeric"])
     assert code == 0
     assert "scipy.sparse.linalg" in modules
@@ -54,8 +71,9 @@ def test_numeric_point_loads_the_sparse_solver():
 
 @pytest.mark.parametrize("threads, printed", [(None, "1"), ("2", "2")])
 def test_cli_gives_scipys_blas_one_thread_unless_told(threads, printed):
-    # a numeric point loads SciPy's BLAS inside main; the environment it read
-    # at load is the one main leaves behind
+    # main sets the variables before a rescued cell loads SciPy's BLAS, so
+    # SuperLU reads the environment main leaves behind; NumPy's BLAS loaded
+    # before main ran
     env = child_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     if threads is not None:

@@ -110,10 +110,14 @@ def test_statistics_equal_dense_traces_on_random_states(cutoff):
     assert res.g2_zero == pytest.approx(np.trace(res.rho @ pair_op).real / n_a**2, rel=1e-12)
 
 
-# an undamped cavity decoupled from the dot (g = kappa = 0): the factorization
-# goes through, but its solution misses the gate at 2.4e-7
+# an undamped cavity decoupled from the dot (g = kappa = 0) evolves unitarily, so it
+# has no unique steady state.  Both solvers factor it: SuperLU's solution misses the
+# gate at 2.4e-7, and the band's meets it (residual 3.3e-24, g2 = 4.97)
 GATE_MISS = ModelParams(delta=8.484416434305949, delta_a=-4.332328215628659, g=0.0, E=0.0,
                         U=7.170094177168514e-08, kappa=0.0, gamma=1.9228401943813833)
+# a well-posed drive so large that rounding misses the gate: 2.0e-9 at cutoff 4,
+# through SuperLU, since the band misses it too
+LARGE_DRIVE = ModelParams(E=3e7)
 
 
 def test_degenerate_generator_is_refused():
@@ -127,6 +131,8 @@ def test_degenerate_generator_is_refused():
         (ModelParams(g=0.0, E=0.0, kappa=1.0, gamma=0.0), 6),
         # large entries, max|L| * eps = 0.044, still below the huge-entry class
         (ModelParams(g=1e14, E=0.1, kappa=0.0, gamma=0.0), 4),
+        # refused before any solve, as every g = kappa = 0 point is
+        (GATE_MISS, 12),
     ]:
         with pytest.raises(DegenerateSteadyStateError):
             solve_steady_state(p, HilbertSpace(cutoff))
@@ -136,7 +142,7 @@ def test_degenerate_generator_is_refused():
     script = "\n".join([
         "from qdblockade import HilbertSpace, ModelParams, SteadyStateResidualError,"
         " solve_steady_state",
-        "try: solve_steady_state(" + repr(GATE_MISS) + ", HilbertSpace(12))",
+        "try: solve_steady_state(" + repr(LARGE_DRIVE) + ", HilbertSpace(4))",
         "except SteadyStateResidualError as exc: print(exc.residual)"])
     for threads in ("1", "2"):
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -144,6 +150,36 @@ def test_degenerate_generator_is_refused():
                                                     OPENBLAS_NUM_THREADS=threads))
         assert proc.returncode == 0, proc.stderr
         assert 1e-9 < float(proc.stdout) < 1e-6, threads
+
+
+# drives the band refuses on the residual bound, which SuperLU meets: kappa =
+# gamma = 1, g = 20, U = 0.05 at cutoffs 4 and 10, and E = 1e7 with g = U = 0
+RESCUED = [(ModelParams(g=20.0, E=E, U=0.05), cutoff) for E in (1e5, 1e6) for cutoff in (4, 10)]
+RESCUED.append((ModelParams(E=1e7), 4))
+
+
+def test_band_refusals_are_solved_by_superlu(monkeypatch):
+    superlu = steady_state._superlu_steady_state
+    rescued = []
+
+    def record(params, space):
+        rescued.append((params, space.photon_cutoff))
+        return superlu(params, space)
+
+    monkeypatch.setattr(steady_state, "_superlu_steady_state", record)
+    for params, cutoff in RESCUED:
+        res = solve_steady_state(params, HilbertSpace(cutoff))
+        want = superlu(params, HilbertSpace(cutoff))
+        assert (res.g2_zero, res.n_a, res.residual) == (want.g2_zero, want.n_a, want.residual)
+        assert res.residual < 1e-9
+    assert rescued == RESCUED
+    # in a batch beside a cell the band solves, only the refused cells are rescued
+    rescued.clear()
+    grid = steady_state_grid(4, g=20.0, E=[0.1, 1e5, 1e6], U=0.05)
+    assert set(rescued) == set(RESCUED[0:3:2])  # solved on two threads, in either order
+    assert grid.failure.tolist() == [None] * 3
+    assert grid.g2[0] == solve_steady_state(ModelParams(g=20.0, E=0.1, U=0.05),
+                                            HilbertSpace(4)).g2_zero
 
 
 def test_overflowing_drive_is_refused():
@@ -204,19 +240,20 @@ def test_sparse_solve_matches_dense_oracle(cutoff):
 
 
 def test_solve_does_not_depend_on_call_order():
-    # the cached ordering comes from the pattern alone, so a point solves to
+    # the cached band layout comes from the pattern alone, so a point solves to
     # the same bits whichever point filled the cache for its cutoff
     space = HilbertSpace(10)
-    steady_state._ordered_system.cache_clear()
+    steady_state._band_system.cache_clear()
     first = solve_steady_state(REF, space).rho
-    steady_state._ordered_system.cache_clear()
+    steady_state._band_system.cache_clear()
     for p in SPECIAL_POINTS:
         for cutoff in (10, 4, 12):
             solve_steady_state(p, HilbertSpace(cutoff))
     again = solve_steady_state(REF, space).rho
     assert np.array_equal(first, again)
-    for arr in steady_state._ordered_system(space):
-        assert not arr.flags.writeable
+    for arr in steady_state._band_system(space):
+        if isinstance(arr, np.ndarray):
+            assert not arr.flags.writeable
 
 
 def test_weak_drive_g2_agreement_on_reference_cuts():
@@ -337,7 +374,7 @@ def test_grid_matches_per_point_solves(monkeypatch):
             monkeypatch.setattr(steady_state, "MAX_CUTOFF", 12)
         # empty caches, so that the grid fills those of cutoffs 8-20 itself
         model._generator_parts.cache_clear()
-        steady_state._ordered_system.cache_clear()
+        steady_state._band_system.cache_clear()
         grid = steady_state_grid(4, rel_tol, **fields)
         # g2, n_a, cutoff_used, residual as a plain loop of solves fills them
         expected = [np.full((4, 4), math.nan), np.full((4, 4), math.nan), np.full((4, 4), 4),
@@ -375,7 +412,7 @@ def test_each_cutoff_fills_its_caches_once():
     # every rung fills its caches on the calling thread before its threads start,
     # so no two threads fill one cutoff's caches side by side
     model._generator_parts.cache_clear()
-    steady_state._ordered_system.cache_clear()
+    steady_state._band_system.cache_clear()
     history = []
     grid = steady_state_grid(4, 1e-6, history, delta=[0.0, -20.0, 0.0, 1.0, 0.0],
                              delta_a=[0.0, -20.0, 0.0, -20.0, 0.0], g=20.0,
@@ -386,20 +423,21 @@ def test_each_cutoff_fills_its_caches_once():
     assert [(h.cutoff_used.tolist(), h.g2.size) for h in history] == [
         ([4] * 5, 5), ([8] * 5, 5), ([12] * 3, 3), ([16] * 3, 3), ([20] * 3, 3)]
     assert model._generator_parts.cache_info().misses == len(history)
-    assert steady_state._ordered_system.cache_info().misses == len(history)
+    assert steady_state._band_system.cache_info().misses == len(history)
 
 
 def test_rung_cells_are_solved_by_the_workers(monkeypatch):
     # the calling thread fills a rung's caches and solves no cell, not even
     # the one cell of a one-cell rung
-    solve = steady_state.solve_steady_state
+    solve = steady_state._solve_batch
     threads = []
 
     def solve_and_record(params, space):
-        threads.append((space.photon_cutoff, threading.current_thread() is threading.main_thread()))
+        on_main = threading.current_thread() is threading.main_thread()
+        threads.extend((space.photon_cutoff, on_main) for _ in params)
         return solve(params, space)
 
-    monkeypatch.setattr(steady_state, "solve_steady_state", solve_and_record)
+    monkeypatch.setattr(steady_state, "_solve_batch", solve_and_record)
     # both cells up to cutoff 8, then the strong one alone
     steady_state_grid(4, 1e-6, delta=[0.0, 1.0], g=20.0, E=[2.0, 0.1], U=0.0005)
     assert sorted(threads) == [(4, False), (4, False), (8, False), (8, False),
@@ -408,22 +446,26 @@ def test_rung_cells_are_solved_by_the_workers(monkeypatch):
 
 @pytest.mark.parametrize("g, error", [
     ([20.0, -1.0] + [20.0] * 398, ValueError),  # ModelParams refuses cell 1 in a worker
-    (20.0, KeyboardInterrupt),  # a Ctrl-C reaches the caller during cell 9's solve
+    (20.0, KeyboardInterrupt),  # a Ctrl-C reaches the caller during cell 9's batch
 ])
 def test_an_error_stops_the_grid(monkeypatch, g, error):
     # the grid raises what a loop over the cells raises, once every thread has
-    # ended its current solve, instead of solving the cells left
+    # ended its current batch, instead of solving the cells left.  Batches of
+    # two cells: at cutoff 4, _BATCH_BYTES would put all 400 in a few batches
     main_thread = threading.main_thread().ident
-    solve = steady_state.solve_steady_state
+    solve = steady_state._solve_batch
     solved = []
 
     def solve_and_count(params, space):
-        solved.append(params.delta)
-        if error is KeyboardInterrupt and params.delta == 9.0:
+        deltas = [p.delta for p in params]
+        solved.extend(deltas)
+        if error is KeyboardInterrupt and 9.0 in deltas:
             signal.pthread_kill(main_thread, signal.SIGINT)
         return solve(params, space)
 
-    monkeypatch.setattr(steady_state, "solve_steady_state", solve_and_count)
+    monkeypatch.setattr(steady_state, "_solve_batch", solve_and_count)
+    monkeypatch.setattr(steady_state, "_BATCH_BYTES",
+                        2 * 16 * steady_state._band_system(HilbertSpace(4)).size)
     with pytest.raises(error, match="g, E, U must be nonnegative" if error is ValueError else None):
         steady_state_grid(4, delta=np.arange(400.0), g=g, E=0.1)
     assert len(solved) < 40
