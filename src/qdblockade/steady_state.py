@@ -9,10 +9,12 @@ unknowns, and the trace row and every diagonal entry of rho lie in block
 d = 0.  That band is factored by block elimination along d in NumPy, for a
 batch of cells at a time, and one step of iterative refinement follows.
 Its layout is computed once per cutoff and cached; each solve fills in the
-values.  A cell the band refuses (a singular diagonal block, non-finite
-values or a missed residual bound) is solved again by SuperLU, which alone
-solves very large drives, and only then is SciPy loaded.  Neither solver
-densifies the generator, so memory stays bounded at every cutoff.
+values.  A cell whose generator overflows is refused before any solve.  A
+finite cell the band refuses (a singular diagonal block, non-finite values
+or a missed residual bound) is solved again by SuperLU, which alone solves
+very large drives, and only then is SciPy loaded.  One gate checks either
+solution.  Neither solver densifies the generator, so memory stays bounded
+at every cutoff.
 The solved rho is used as-is: no Hermitization or eigenvalue clamping, so the
 validity checks in tests measure the solver rather than a cosmetic cleanup.
 
@@ -163,11 +165,6 @@ def _band_system(space: HilbertSpace) -> _Band:
     return out
 
 
-def _batch_cells(space: HilbertSpace) -> int:
-    """Cells in one batch on ``space``: as many bands as fit in _BATCH_BYTES."""
-    return max(1, _BATCH_BYTES // (16 * _band_system(space).size))
-
-
 def _factor(blocks: list[list]) -> None:
     """Block LU of the band in place, along d, for every cell at once.
 
@@ -240,7 +237,7 @@ def _band_solve(data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, np.n
 @lru_cache(maxsize=None)
 def _ordered_system(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only ``(indices, indptr, perm, src)`` of the trace-replaced system on ``space``
-    for SuperLU, which ``_superlu_steady_state`` solves.
+    for SuperLU, which ``_superlu_solve`` solves.
 
     A is the generator with row 0 replaced by the trace functional vec(I)'.
     ``perm`` is SuperLU's minimum-degree order on the pattern of A + A^T, and
@@ -282,22 +279,19 @@ def _ordered_system(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.nda
     return out
 
 
-# overflow leaves inf or nan, which the finiteness check refuses
-@np.errstate(over="ignore", invalid="ignore")
-def _superlu_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateResult:
-    """The steady state of one cell the band refused, by SuperLU; it raises the
-    classes :func:`solve_steady_state` lists.
+def _superlu_solve(params: ModelParams, space: HilbertSpace) -> tuple[np.ndarray, float]:
+    """(vec(rho), ||L vec(rho)||_inf) of one cell with a finite generator, by SuperLU.
 
     The replaced system is factored on the cached, symmetrically permuted
     pattern of ``_ordered_system`` (minimum-degree order of A + A^T, diagonal
-    pivots preferred), and one step of iterative refinement follows.
+    pivots preferred), and one step of iterative refinement follows.  A
+    singular factorization raises DegenerateSteadyStateError, or
+    SingularSystemError where the generator's entries are too large to tell.
     """
     import scipy.sparse as sp  # deferred: only a refused cell loads SciPy
     from scipy.sparse.linalg import splu
 
     liou = build_liouvillian(params, space)
-    if not np.all(np.isfinite(liou.data)):
-        raise SingularSystemError("Liouvillian has non-finite entries (parameters overflow)")
     indices, indptr, perm, src = _ordered_system(space)
     data = np.concatenate([liou.data, np.ones(space.dim)])[src]
     a = sp.csc_array((data, indices, indptr), shape=liou.shape)
@@ -318,24 +312,17 @@ def _superlu_steady_state(params: ModelParams, space: HilbertSpace) -> SteadySta
     y = lu.solve(b)
     y += lu.solve(b - a @ y)
     x = y[perm]  # undo P
-    residual = float(np.max(np.abs(liou @ x)))
-    if not (math.isfinite(residual) and np.all(np.isfinite(x))):
-        raise SingularSystemError("steady state overflows float64")
-    if residual > RESIDUAL_TOL:
-        raise SteadyStateResidualError(residual, RESIDUAL_TOL)
-
-    rho = x.reshape((space.dim, space.dim), order="F")  # undo the column stacking
-    g2, n_a = _statistics(rho, space)
-    return SteadyStateResult(rho, g2, n_a, space.photon_cutoff, residual)
+    return x, float(np.max(np.abs(liou @ x)))
 
 
-# overflow leaves inf or nan, which the band refuses
+# overflow leaves inf or nan, which the gate refuses
 @np.errstate(over="ignore", invalid="ignore")
 def _solve_batch(params: list[ModelParams], space: HilbertSpace) -> list[SteadyStateResult |
                                                                         BlockadeError]:
-    """The steady state of each of ``params`` on ``space``, or the BlockadeError its
-    solve raised, as :func:`solve_steady_state` gives it: the band solves the
-    cells together, and each cell it refuses is solved alone by SuperLU."""
+    """The steady state of each of ``params`` on ``space``, or the BlockadeError that
+    refuses it, as :func:`solve_steady_state` gives it: the band solves the cells
+    together, SuperLU solves again each finite cell the band refused, and one
+    gate checks either solution."""
     out: list = [None] * len(params)
     # a decoupled lossless cavity evolves unitarily, so every function of its
     # Hamiltonian is stationary; its dot populations may be unique, its cavity's not
@@ -346,7 +333,7 @@ def _solve_batch(params: list[ModelParams], space: HilbertSpace) -> list[SteadyS
         else:
             cells.append(i)
     data = _generator_data(_band_system(space).values, [params[i] for i in cells])
-    finite = np.isfinite(data).all(axis=1)  # an overflowing generator is refused
+    finite = np.isfinite(data).all(axis=1)
     x = np.full((len(cells), space.dim ** 2), math.nan, dtype=complex)
     residual = np.full(len(cells), math.nan)
     try:
@@ -357,32 +344,43 @@ def _solve_batch(params: list[ModelParams], space: HilbertSpace) -> list[SteadyS
                 x[c:c + 1], residual[c:c + 1] = _band_solve(data[c:c + 1], space)
             except np.linalg.LinAlgError:
                 pass
-    ok = np.isfinite(x).all(axis=1) & (residual <= RESIDUAL_TOL)
+
+    def gate(vec: np.ndarray, res: float) -> SteadyStateResult | BlockadeError:
+        if not (math.isfinite(res) and np.isfinite(vec).all()):
+            return SingularSystemError("steady state overflows float64")
+        if res > RESIDUAL_TOL:
+            return SteadyStateResidualError(res, RESIDUAL_TOL)
+        rho = vec.reshape((space.dim, space.dim), order="F")  # undo the column stacking
+        return SteadyStateResult(rho, *_statistics(rho, space), space.photon_cutoff, res)
+
     for c, i in enumerate(cells):
-        if ok[c]:
-            rho = x[c].reshape((space.dim, space.dim), order="F")  # undo the column stacking
-            out[i] = SteadyStateResult(rho, *_statistics(rho, space), space.photon_cutoff,
-                                       float(residual[c]))
+        if not finite[c]:  # an overflowing generator is refused before any solve
+            out[i] = SingularSystemError(
+                "Liouvillian has non-finite entries (parameters overflow)")
             continue
-        try:
-            out[i] = _superlu_steady_state(params[i], space)
-        except BlockadeError as exc:
-            out[i] = exc
+        out[i] = gate(x[c], float(residual[c]))
+        if isinstance(out[i], BlockadeError):  # the band refused the cell
+            try:
+                out[i] = gate(*_superlu_solve(params[i], space))
+            except BlockadeError as exc:
+                out[i] = exc
     return out
 
 
 def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateResult:
     """Steady state via trace-row replacement, by block elimination on the d band.
 
-    The replaced system is factored block by block along d (inverses of the
+    A generator with a non-finite entry is refused before any solve.  The
+    replaced system is factored block by block along d (inverses of the
     Schur-updated diagonal blocks, multipliers over the upper band), and one
-    step of iterative refinement follows.  The solution must meet
+    step of iterative refinement follows.  The solution must be finite and meet
     ||L vec(rho)||_inf <= 1e-9 on the unpermuted L.  A cell the band refuses, on
     a singular diagonal block, non-finite values or a missed bound, is solved
-    again by SuperLU on a minimum-degree order, as ``_superlu_steady_state``,
-    and that solve's number or failure is the result.  With kappa = gamma = 1,
-    g = 20 and U = 0.05 the band misses the bound from E = 3e4 at cutoff 4 and
-    E = 1e5 at cutoff 10, and SuperLU meets it up to E = 1e7.
+    again by SuperLU on a minimum-degree order (``_superlu_solve``); the same
+    checks on that solution, or its singular factorization, give the result.
+    With kappa = gamma = 1, g = 20 and U = 0.05 the band misses the bound from
+    E = 3e4 at cutoff 4 and E = 1e5 at cutoff 10, and SuperLU meets it up to
+    E = 1e7.
 
     Failures fall in four classes:
 
@@ -395,8 +393,8 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
       largest entry times the float64 epsilon is at least 1.  At that scale
       rounding exceeds a unit rate, and a well-posed strong drive can factor
       as singular too, so degeneracy cannot be told.
-    - SingularSystemError, overflow: an overflowing generator or a non-finite
-      solution.
+    - SingularSystemError, overflow: an overflowing generator, refused before
+      any solve, or a non-finite solution.
     - SteadyStateResidualError: a finite miss of the residual bound.  The bound
       is absolute, so rounding in large entries misses it as well.
 
@@ -448,15 +446,16 @@ def steady_state_grid(cutoff: int, rel_tol: float | None = None,
     Pass ``history`` to receive each rung's results, 1-D over the cells that rung
     solved in C order.
 
-    Cells are solved on one thread per CPU the process may use, in batches of at
-    most ``_batch_cells`` cells, as many batches for each thread; any other
-    exception stops them after their current batch and is raised.  A cell's
-    result does not depend on its batch or thread.  The calling thread fills a
-    rung's per-cutoff caches, then waits on the workers, one worker for a
-    one-cell rung.  Set ``OPENBLAS_NUM_THREADS=1`` before NumPy loads: with BLAS
-    threads inside each solve the threads oversubscribe the CPUs.
+    Cells are solved by one pool of threads, one per CPU the process may use,
+    that serves every rung.  A rung splits its cells into as many batches for
+    each thread, each of at most as many cells as ``_BATCH_BYTES`` of band
+    holds, and the threads take them from one queue; any other exception stops
+    them after their current batch and is raised.  A cell's result does not
+    depend on its batch or thread.  The calling thread fills a rung's
+    per-cutoff caches, then waits on the batches.  Set
+    ``OPENBLAS_NUM_THREADS=1`` before NumPy loads: with BLAS threads inside each
+    solve the threads oversubscribe the CPUs.
     """
-    import threading
     from concurrent.futures import ThreadPoolExecutor
 
     fields = {**vars(ModelParams()), **fields}
@@ -477,46 +476,35 @@ def steady_state_grid(cutoff: int, rel_tol: float | None = None,
                 else:
                     rung.g2[j], rung.n_a[j], rung.residual[j] = res.g2_zero, res.n_a, res.residual
 
-        per_batch = _batch_cells(space)  # fills this cutoff's caches before any thread starts
+        # as many bands as fit in _BATCH_BYTES; this fills the cutoff's caches
+        per_batch = max(1, _BATCH_BYTES // (16 * _band_system(space).size))
         workers = min(cells.size, cpus)  # the ladder calls no rung without open cells
         rounds = -(-cells.size // (per_batch * workers))
-        batches = np.array_split(np.arange(cells.size), min(cells.size, rounds * workers))
-        stop = threading.Event()
-
-        def work(first: int) -> None:
-            try:
-                for batch in batches[first::workers]:
-                    if stop.is_set():
-                        return
-                    solve(batch)
-            except BaseException:
-                stop.set()
-                raise
-
-        with ThreadPoolExecutor(workers) as pool:
-            try:  # an interrupt, even between two submits, ends the threads after their batch
-                for future in [pool.submit(work, first) for first in range(workers)]:
-                    future.result()
-            finally:
-                stop.set()
+        list(pool.map(solve, np.array_split(np.arange(cells.size),
+                                            min(cells.size, rounds * workers))))
         return rung
 
     cells = np.arange(out.g2.size)  # the open cells, with their last rung's g2 and n_a
     last_g2 = last_n_a = np.full(cells.size, math.inf)  # inf: no first rung settles
-    while cells.size:
-        rung = solve_rung(cells, cutoff)
-        if history is not None:
-            history.append(rung)
-        ok = rung.failure == None  # noqa: E711 (elementwise)
-        out.failure.flat[cells[~ok]] = rung.failure[~ok]
-        settled = ok if rel_tol is None else (ok & (_rel_change(last_g2, rung.g2) < rel_tol)
-                                              & (_rel_change(last_n_a, rung.n_a) < rel_tol))
-        for got, res in zip(out[:4], rung):
-            got.flat[cells[settled]] = res[settled]
-        keep = ok & ~settled
-        cells, last_g2, last_n_a, cutoff = cells[keep], rung.g2[keep], rung.n_a[keep], cutoff + 4
-        if cells.size and cutoff > MAX_CUTOFF:
-            out.failure.flat[cells] = CutoffConvergenceError(
-                f"observables not settled to rel_tol={rel_tol:g} by cutoff {MAX_CUTOFF}")
-            break
+    pool = ThreadPoolExecutor(cpus)
+    try:  # an error or interrupt ends the threads after their current batch
+        while cells.size:
+            rung = solve_rung(cells, cutoff)
+            if history is not None:
+                history.append(rung)
+            ok = rung.failure == None  # noqa: E711 (elementwise)
+            out.failure.flat[cells[~ok]] = rung.failure[~ok]
+            settled = ok if rel_tol is None else (ok & (_rel_change(last_g2, rung.g2) < rel_tol)
+                                                  & (_rel_change(last_n_a, rung.n_a) < rel_tol))
+            for got, res in zip(out[:4], rung):
+                got.flat[cells[settled]] = res[settled]
+            keep = ok & ~settled
+            cells, last_g2, last_n_a = cells[keep], rung.g2[keep], rung.n_a[keep]
+            cutoff += 4
+            if cells.size and cutoff > MAX_CUTOFF:
+                out.failure.flat[cells] = CutoffConvergenceError(
+                    f"observables not settled to rel_tol={rel_tol:g} by cutoff {MAX_CUTOFF}")
+                break
+    finally:
+        pool.shutdown(cancel_futures=True)
     return out

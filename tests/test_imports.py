@@ -1,8 +1,9 @@
 """Which SciPy modules a CLI run loads, checked in child processes.
 
-Only a cell the band solver refuses needs SciPy, for SuperLU.  An import of
-the CLI, numeric runs whose cells the band solves, a weak-drive sweep, an
-``optimum`` root search and a usage error load none of it.
+Only a cell with a finite generator that the band solver refuses needs SciPy,
+for SuperLU.  An import of the CLI, numeric runs whose cells the band solves,
+a numeric point whose generator overflows (refused before any solve), a
+weak-drive sweep, an ``optimum`` root search and a usage error load none of it.
 """
 
 import subprocess
@@ -46,18 +47,20 @@ def test_weak_drive_runs_and_usage_errors_load_no_scipy(argv, exit_code):
     assert modules == set()
 
 
-@pytest.mark.parametrize("argv", [
-    ["point", "--E", "0.1", "--cutoff", "4", "--engines", "numeric"],
-    ["sweep2d", "--g", "20", "--E", "0.1", "--U", "0.0005", "--engines", "numeric,analytic",
-     "--axis", "delta:-60:60:5", "--axis2", "delta_a:-60:60:5"],
-    ["compare", "--delta", "30", "--g", "20", "--E", "0.1", "--U", "0.0005", "--cutoff", "6",
-     "--axis", "delta_a:4:40:13"],
-    ["sweep", "--delta", "0", "--g", "20", "--E", "1", "--U", "0.02", "--engines", "numeric",
-     "--cutoff", "4", "--converge-tol", "1e-6", "--axis", "delta_a:-2:1.5:4"],
-], ids=["point", "sweep2d", "compare", "ladder"])
-def test_numeric_runs_load_no_scipy(argv):
+@pytest.mark.parametrize("argv, exit_code", [
+    (["point", "--E", "0.1", "--cutoff", "4", "--engines", "numeric"], 0),
+    (["sweep2d", "--g", "20", "--E", "0.1", "--U", "0.0005", "--engines", "numeric,analytic",
+      "--axis", "delta:-60:60:5", "--axis2", "delta_a:-60:60:5"], 0),
+    (["compare", "--delta", "30", "--g", "20", "--E", "0.1", "--U", "0.0005", "--cutoff", "6",
+      "--axis", "delta_a:4:40:13"], 0),
+    (["sweep", "--delta", "0", "--g", "20", "--E", "1", "--U", "0.02", "--engines", "numeric",
+      "--cutoff", "4", "--converge-tol", "1e-6", "--axis", "delta_a:-2:1.5:4"], 0),
+    # the generator overflows: refused before any solve, so SuperLU is not needed
+    (["point", "--E", "1e308", "--cutoff", "4", "--engines", "numeric"], 3),
+], ids=["point", "sweep2d", "compare", "ladder", "overflow"])
+def test_numeric_runs_load_no_scipy(argv, exit_code):
     code, modules = loaded_scipy(argv)
-    assert code == 0
+    assert code == exit_code
     assert modules == set()
 
 

@@ -159,18 +159,19 @@ RESCUED.append((ModelParams(E=1e7), 4))
 
 
 def test_band_refusals_are_solved_by_superlu(monkeypatch):
-    superlu = steady_state._superlu_steady_state
+    superlu = steady_state._superlu_solve
     rescued = []
 
     def record(params, space):
         rescued.append((params, space.photon_cutoff))
         return superlu(params, space)
 
-    monkeypatch.setattr(steady_state, "_superlu_steady_state", record)
+    monkeypatch.setattr(steady_state, "_superlu_solve", record)
     for params, cutoff in RESCUED:
         res = solve_steady_state(params, HilbertSpace(cutoff))
-        want = superlu(params, HilbertSpace(cutoff))
-        assert (res.g2_zero, res.n_a, res.residual) == (want.g2_zero, want.n_a, want.residual)
+        vec, residual = superlu(params, HilbertSpace(cutoff))
+        assert np.array_equal(res.rho.ravel(order="F"), vec)  # vec(rho) stacks the columns
+        assert res.residual == residual
         assert res.residual < 1e-9
     assert rescued == RESCUED
     # in a batch beside a cell the band solves, only the refused cells are rescued
@@ -428,13 +429,14 @@ def test_each_cutoff_fills_its_caches_once():
 
 def test_rung_cells_are_solved_by_the_workers(monkeypatch):
     # the calling thread fills a rung's caches and solves no cell, not even
-    # the one cell of a one-cell rung
+    # the one cell of a one-cell rung; every rung's batches go to one pool
     solve = steady_state._solve_batch
-    threads = []
+    threads, pools = [], set()
 
     def solve_and_record(params, space):
         on_main = threading.current_thread() is threading.main_thread()
         threads.extend((space.photon_cutoff, on_main) for _ in params)
+        pools.add(threading.current_thread().name.rpartition("_")[0])  # drop the "_<k>"
         return solve(params, space)
 
     monkeypatch.setattr(steady_state, "_solve_batch", solve_and_record)
@@ -442,6 +444,7 @@ def test_rung_cells_are_solved_by_the_workers(monkeypatch):
     steady_state_grid(4, 1e-6, delta=[0.0, 1.0], g=20.0, E=[2.0, 0.1], U=0.0005)
     assert sorted(threads) == [(4, False), (4, False), (8, False), (8, False),
                                (12, False), (16, False), (20, False)]
+    assert len(pools) == 1 and pools.pop().startswith("ThreadPoolExecutor-")
 
 
 @pytest.mark.parametrize("g, error", [
