@@ -384,9 +384,10 @@ def _build_parser() -> tuple[_Parser, dict]:
 
 def main(argv: list[str] | None = None) -> int:
     # steady_state_grid runs a solve per CPU, and BLAS threads on top of those
-    # slow it below one CPU's pace; a set value still wins.  NumPy's BLAS, which
-    # the band solves call, loaded with the package, before this line, so only
-    # SciPy's, for SuperLU on a cell the band refuses, still reads it here
+    # slow it below one CPU's pace; a set value still wins.  The entry point
+    # (__main__.run) sets these before NumPy loads its BLAS; NumPy is loaded by
+    # now, so here they reach only SciPy's BLAS, for SuperLU on a cell the band
+    # refuses, when main is called without that entry point
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -417,7 +418,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> NoReturn:
-    """The entry point of ``python -m qdblockade`` and the ``qdblockade`` script.
+    """What ``python -m qdblockade`` and the ``qdblockade`` script run, after
+    ``qdblockade.__main__.run`` has set BLAS's thread count.
 
     It runs :func:`main`, flushes stdout and stderr, and ends the process with
     main's code through ``os._exit``.  That skips the interpreter's

@@ -6,17 +6,22 @@ excitation difference d = (n + q) - (m + q'): the delta, delta_a and g terms
 and both dissipators conserve it, the drive E shifts it by one and U by two.
 Ordered by d, L is block-pentadiagonal over 2N + 3 blocks of at most 4N + 2
 unknowns, and the trace row and every diagonal entry of rho lie in block
-d = 0.  That band is factored by block elimination along d in NumPy, for a
-batch of cells at a time, and one step of iterative refinement follows.
-Its layout is computed once per cutoff and cached; each solve fills in the
-values.  A cell whose generator overflows is refused before any solve.  A
-finite cell the band refuses (a singular diagonal block, non-finite values
-or a missed residual bound) is solved again by SuperLU, which alone solves
-very large drives, and only then is SciPy loaded.  One gate checks either
-solution.  Neither solver densifies the generator, so memory stays bounded
-at every cutoff.
-The solved rho is used as-is: no Hermitization or eigenvalue clamping, so the
-validity checks in tests measure the solver rather than a cosmetic cleanup.
+d = 0.  L maps Hermitian matrices to Hermitian matrices, so T L T = conj(L)
+for T: vec(rho) -> vec(rho^T), which maps block d onto block -d, and the
+steady state is Hermitian.  The band is factored by block elimination in
+NumPy, for a batch of cells at a time, from both edges toward d = 0: only
+the d >= 2 side is eliminated, and the d <= -2 side is its conjugate
+mirror.  Solutions on d <= -2 are filled in the same way, and one step of
+iterative refinement follows.  The layout is computed once per cutoff and
+cached; each solve fills in the values.  A cell whose generator overflows
+is refused before any solve.  A finite cell the band refuses (a singular
+diagonal block, non-finite values or a missed residual bound) is solved
+again by SuperLU, which alone solves very large drives, and only then is
+SciPy loaded.  One gate checks either solution.  Neither solver densifies
+the generator, so memory stays bounded at every cutoff.
+The solved rho is exactly Hermitian by construction and is otherwise used
+as-is: no eigenvalue clamping, so the trace, positivity and residual checks
+in tests measure the solver rather than a cosmetic cleanup.
 
 Both observables are weights of the photon-number distribution P(n), the
 diagonal of rho summed over the dot state: n_a = <a'a> = sum n P(n) and
@@ -65,7 +70,7 @@ MAX_CUTOFF = 40
 # occupations below this are treated as exactly dark when forming ratios
 _DARK_FLOOR = 1e-12
 # band bytes of one batch of cells: a grid worker solves as many cells at a
-# time as fit, and at least one (a cutoff-10 cell's band is 1.1 MB)
+# time as fit, and at least one (a cutoff-10 cell's band is 0.67 MB)
 _BATCH_BYTES = 8 << 20
 _DEGENERATE = "trace-replaced Liouvillian is singular; no unique trace-one steady state"
 
@@ -95,31 +100,38 @@ class _Band(NamedTuple):
 
     The generator's entries are held row by row: ``values`` are the real blocks
     of ``_generator_parts`` on them, ``cols`` their columns and ``row_starts``
-    the first entry of each row (no row is empty), so the entries past
-    ``row_starts[1]`` are those the trace row keeps.  ``order`` lists the vec
-    index of each unknown, block by block, and ``rank`` is its inverse;
+    the first entry of each row (no row is empty).  ``order`` lists the vec
+    index of each unknown, block by block from d = -N - 1 to N + 1, and
     ``bounds`` holds where each block starts among the unknowns, then their
-    count.  One cell's band is a flat array of ``size`` entries, block (k, k + o)
-    at ``blocks[k][o + 2]`` as (start, rows, cols), or None off the band's
-    edges; the entries past row 0 go to ``dest`` and the trace row's ones to
-    ``trace_dest``.
+    count.  ``mirror`` maps the place of each unknown rho[i, j] to that of
+    rho[j, i], in the block of -d.
+
+    Only block rows d >= -1 are stored, and in them only the blocks of columns
+    d >= -1: one cell's band is a flat array of ``size`` entries, with block
+    (k, k + o) of the stored rows at ``blocks[k][o + 2]`` as (start, rows,
+    cols), or None off the stored band.  The generator's entries ``src``, those
+    of rows d >= 0 but row 0, go to ``dest`` and the trace row's ones to
+    ``trace_dest``.  ``unfold`` gathers vec(rho) from the stored unknowns
+    followed by their conjugates.
     """
 
     values: np.ndarray
     cols: np.ndarray
     row_starts: np.ndarray
     order: np.ndarray
-    rank: np.ndarray
+    mirror: np.ndarray
     bounds: tuple[int, ...]
     blocks: tuple[tuple[tuple[int, int, int] | None, ...], ...]
     size: int
+    src: np.ndarray
     dest: np.ndarray
     trace_dest: np.ndarray
+    unfold: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _band_system(space: HilbertSpace) -> _Band:
-    """The band layout of the trace-replaced system on ``space`` (5.9 MB at cutoff 40)."""
+    """The band layout of the trace-replaced system on ``space`` (6.0 MB at cutoff 40)."""
     gen_indices, gen_indptr, values = _generator_parts(space)
     dim, n2 = space.dim, space.dim * space.dim
     rows = gen_indices.astype(np.intp)
@@ -134,11 +146,16 @@ def _band_system(space: HilbertSpace) -> _Band:
     order = np.argsort(d, kind="stable")
     rank = np.empty(n2, dtype=np.intp)
     rank[order] = vec
+    mirror = rank[(order % dim) * dim + order // dim]
     block = d - d.min()
     sizes = np.bincount(block)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
-    pos = rank - bounds[block]  # place of each unknown within its block
 
+    # the stored rows: blocks d = -1 .. N + 1, numbered from 0
+    low = space.photon_cutoff
+    block -= low
+    sizes = sizes[low:]
+    pos = rank - bounds[low:][np.maximum(block, 0)]  # place of each stored unknown in its block
     start, blocks = 0, []
     for k, rows_k in enumerate(sizes.tolist()):
         row = []
@@ -154,54 +171,119 @@ def _band_system(space: HilbertSpace) -> _Band:
     def place(r: np.ndarray, c: np.ndarray) -> np.ndarray:
         return first[block[r], block[c] - block[r] + 2] + pos[r] * sizes[block[c]] + pos[c]
 
-    kept = slice(row_starts[1], None)
+    src = np.flatnonzero((block[rows] >= 1) & (block[cols] >= 0))
+    src = src[src >= row_starts[1]]  # the trace row replaces row 0
     trace = np.arange(dim) * (dim + 1)  # vec(I) has its ones at the diagonal of rho
-    out = _Band(values[:, by_row], cols, row_starts, order, rank, tuple(bounds.tolist()),
-                tuple(blocks), start, place(rows[kept], cols[kept]),
-                place(np.zeros(dim, dtype=np.intp), trace))
+    stored = rank - bounds[low]
+    unfold = np.where(stored >= 0, stored, n2 - bounds[low] + mirror[rank] - bounds[low])
+    out = _Band(values[:, by_row], cols, row_starts, order, mirror, tuple(bounds.tolist()),
+                tuple(blocks), start, src, place(rows[src], cols[src]),
+                place(np.zeros(dim, dtype=np.intp), trace), unfold)
     for arr in out:
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
     return out
 
 
-def _factor(blocks: list[list]) -> None:
-    """Block LU of the band in place, along d, for every cell at once.
+def _mirrored(block: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The conjugate mirror of a block of the band, for every cell: entry (a, b)
+    is conj(block[rows[a], cols[b]])."""
+    return block[:, rows[:, np.newaxis], cols].conj()
 
-    Each Schur-updated diagonal block is replaced by its inverse and each upper
-    block (k, k + j) by the multiplier inv(S_k) A[k, k + j]; the lower blocks
-    keep their Schur-updated values.  Raises LinAlgError if a diagonal block of
-    any cell is singular.
+
+def _eliminate(blocks: list[list], k: int) -> None:
+    """Eliminate stored block row k from the rows above it, for every cell at once:
+    the Schur-updated diagonal block is replaced by its inverse, each block (k, k
+    - j) left of it by the multiplier inv(S_k) A[k, k - j], and the blocks above
+    the diagonal keep their Schur-updated values.  Raises LinAlgError if the
+    diagonal block of any cell is singular."""
+    inv = blocks[k][2]
+    inv[...] = np.linalg.inv(inv)
+    for j in (1, 2):
+        if k >= j:
+            blocks[k][2 - j][...] = inv @ blocks[k][2 - j]
+    for i in (1, 2):
+        if k >= i:
+            for j in (1, 2):
+                if k >= j:
+                    blocks[k - i][2 + i - j] -= blocks[k - i][2 + i] @ blocks[k][2 - j]
+
+
+def _middle(bounds: tuple[int, ...], mirror: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The mirror maps of the stored blocks d = -1, 0, 1: from each place in block
+    -1 to its place in block 1, within block 0, and from block 1 to block -1,
+    each counted from the start of its target block; and over the three blocks
+    together."""
+    c = (len(bounds) - 2) // 2  # the block of d = 0
+    low, zero, one, end = bounds[c - 1:c + 3]
+    mid = mirror[low:end] - low
+    return (mid[:zero - low] - (one - low), mid[zero - low:one - low] - (zero - low),
+            mid[one - low:], mid)
+
+
+def _factor_band(blocks: list[list], middle: tuple[np.ndarray, ...]) -> None:
+    """Block LU of the stored band in place, eliminating from d = N + 1 toward d = -1.
+
+    Rows d = N + 1 .. 2 are eliminated first.  Since T L T = conj(L) for T:
+    vec(rho) -> vec(rho^T), the elimination of rows d = -N - 1 .. -2 from the
+    other edge is the conjugate mirror of that one: block row d = -1 and block
+    (0, -1) are set as the mirrors of block row d = 1 and block (0, 1), and
+    block (0, 0) as S + mirror(S) - A[0, 0], with S block (0, 0) after the
+    first half.  Rows d = 1, 0, -1 are eliminated last.  Raises LinAlgError if a
+    diagonal block of any cell is singular.
     """
-    nb = len(blocks)
-    for k in range(nb):
-        inv = blocks[k][2]
-        inv[...] = np.linalg.inv(inv)
-        for j in (1, 2):
-            if k + j < nb:
-                blocks[k][2 + j][...] = inv @ blocks[k][2 + j]
-        for i in (1, 2):
-            if k + i < nb:
-                for j in (1, 2):
-                    if k + j < nb:
-                        blocks[k + i][2 + j - i] -= blocks[k + i][2 - i] @ blocks[k][2 + j]
+    neg, zero, pos, _ = middle
+    a00 = blocks[1][2].copy()
+    for k in range(len(blocks) - 1, 2, -1):
+        _eliminate(blocks, k)
+    blocks[0][2][...] = _mirrored(blocks[2][2], neg, neg)
+    blocks[0][3][...] = _mirrored(blocks[2][1], neg, zero)
+    blocks[0][4][...] = _mirrored(blocks[2][0], neg, pos)
+    blocks[1][1][...] = _mirrored(blocks[1][3], zero, neg)
+    s = blocks[1][2]
+    s[...] = s + _mirrored(s, zero, zero) - a00
+    for k in (2, 1, 0):
+        _eliminate(blocks, k)
 
 
-def _substitute(blocks: list[list], bounds: tuple[int, ...], y: np.ndarray) -> None:
-    """Overwrite ``y``, (cells, unknowns) in band order, with A^-1 y from ``_factor``'s
-    factors: forward through the lower blocks and inverses, back through the
-    multipliers."""
+def _solve_band(blocks: list[list], bounds: tuple[int, ...], middle: tuple[np.ndarray, ...],
+                y: np.ndarray) -> None:
+    """Overwrite ``y``, (cells, stored unknowns), with the stored part of A^-1 y
+    from ``_factor_band``'s factors, for a right-hand side that is the vec of a
+    Hermitian matrix (its rows d = -1 are not read).
+
+    The sweep from d = N + 1 toward d = 2 is followed by its mirror's share of
+    rows d = 0 and -1.  The solution of the middle rows d = -1, 0, 1 is
+    projected onto its Hermitian part before the rows d >= 2 are
+    back-substituted: without it rounding in the middle grows through them.
+    """
+    neg, zero, _, mid = middle
     nb = len(blocks)
     part = [y[:, bounds[k]:bounds[k + 1], np.newaxis] for k in range(nb)]
-    for k in range(nb):
+    for k in range(nb - 1, 2, -1):
         for i in (1, 2):
-            if k >= i:
-                part[k] -= blocks[k][2 - i] @ part[k - i]
+            if k + i < nb:
+                part[k] -= blocks[k][2 + i] @ part[k + i]
         part[k][...] = blocks[k][2] @ part[k]
-    for k in range(nb - 1, -1, -1):
+    # row d = 1 meets the d >= 2 side through (1, 2) and (1, 3), and row d = 0
+    # through (0, 2) and, on the d <= -2 side, through its mirror; row d = -1
+    # is the mirror of row d = 1
+    part[2] -= blocks[2][3] @ part[3] + blocks[2][4] @ part[4]
+    w = blocks[1][4] @ part[3]
+    part[1] -= w + w[:, zero].conj()
+    part[0][...] = part[2][:, neg].conj()
+    part[2][...] = blocks[2][2] @ part[2]
+    part[1] -= blocks[1][3] @ part[2]
+    part[1][...] = blocks[1][2] @ part[1]
+    part[0] -= blocks[0][3] @ part[1] + blocks[0][4] @ part[2]
+    part[0][...] = blocks[0][2] @ part[0]
+    for k in range(1, nb):
         for j in (1, 2):
-            if k + j < nb:
-                part[k] -= blocks[k][2 + j] @ part[k + j]
+            if k >= j:
+                part[k] -= blocks[k][2 - j] @ part[k - j]
+        if k == 2:
+            x = y[:, :bounds[3]]
+            x[...] = (x + x[:, mid].conj()) * 0.5
 
 
 def _apply(data: np.ndarray, x: np.ndarray, band: _Band) -> np.ndarray:
@@ -215,22 +297,26 @@ def _band_solve(data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, np.n
     block of any cell is singular.  Each cell's bits are independent of the others."""
     band, cells = _band_system(space), len(data)
     flat = np.zeros((cells, band.size), dtype=complex)
-    flat[:, band.dest] = data[:, band.row_starts[1]:]
+    flat[:, band.dest] = data[:, band.src]
     flat[:, band.trace_dest] = 1.0
     blocks = [[None if b is None else flat[:, b[0]:b[0] + b[1] * b[2]].reshape(cells, b[1], b[2])
                for b in row] for row in band.blocks]
-    _factor(blocks)
-    y = np.zeros((cells, band.rank.size), dtype=complex)
-    y[:, band.rank[0]] = 1.0  # b, the trace row's 1
-    _substitute(blocks, band.bounds, y)
-    x = y[:, band.rank]
+    low = band.bounds[space.photon_cutoff]  # the first stored unknown, in block d = -1
+    bounds = tuple(b - low for b in band.bounds[space.photon_cutoff:])
+    middle = _middle(band.bounds, band.mirror)
+    _factor_band(blocks, middle)
+    y = np.zeros((cells, bounds[-1]), dtype=complex)
+    y[:, band.unfold[0]] = 1.0  # b, the trace row's 1
+    _solve_band(blocks, bounds, middle, y)
+    x = np.concatenate([y, y.conj()], axis=1)[:, band.unfold]
     # one step of refinement on b - A x: row 0 of A is the trace, the rest that of L
     r = -_apply(data, x, band)
     # a strided row sums in another order when there are several rows: copy it first
     r[:, 0] = 1.0 - np.ascontiguousarray(x[:, ::space.dim + 1]).sum(axis=1)
-    y = r[:, band.order]
-    _substitute(blocks, band.bounds, y)
-    x += y[:, band.rank]
+    # x is Hermitian, so the anti-Hermitian part of r is rounding: solve for the rest
+    y = (r[:, band.order[low:]] + r[:, band.order[band.mirror[low:]]].conj()) * 0.5
+    _solve_band(blocks, bounds, middle, y)
+    x += np.concatenate([y, y.conj()], axis=1)[:, band.unfold]
     return x, np.abs(_apply(data, x, band)).max(axis=1)
 
 
@@ -371,16 +457,20 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
     """Steady state via trace-row replacement, by block elimination on the d band.
 
     A generator with a non-finite entry is refused before any solve.  The
-    replaced system is factored block by block along d (inverses of the
-    Schur-updated diagonal blocks, multipliers over the upper band), and one
-    step of iterative refinement follows.  The solution must be finite and meet
+    replaced system is factored block by block from both edges of the d band
+    toward d = 0 (inverses of the Schur-updated diagonal blocks, multipliers
+    toward the edges), computing only the d >= -1 rows: the other edge's half
+    is the conjugate mirror of this one, since the generator preserves
+    Hermiticity.  The middle blocks' solution is projected onto its Hermitian
+    part, the rows d <= -2 of the solution are the mirror of rows d >= 2, so
+    rho is exactly Hermitian, and one step of iterative refinement on the
+    residual's Hermitian part follows.  The solution must be finite and meet
     ||L vec(rho)||_inf <= 1e-9 on the unpermuted L.  A cell the band refuses, on
     a singular diagonal block, non-finite values or a missed bound, is solved
     again by SuperLU on a minimum-degree order (``_superlu_solve``); the same
     checks on that solution, or its singular factorization, give the result.
     With kappa = gamma = 1, g = 20 and U = 0.05 the band misses the bound from
-    E = 3e4 at cutoff 4 and E = 1e5 at cutoff 10, and SuperLU meets it up to
-    E = 1e7.
+    E = 1e5 at cutoffs 4 and 10, and SuperLU meets it up to E = 1e7.
 
     Failures fall in four classes:
 
@@ -453,8 +543,9 @@ def steady_state_grid(cutoff: int, rel_tol: float | None = None,
     them after their current batch and is raised.  A cell's result does not
     depend on its batch or thread.  The calling thread fills a rung's
     per-cutoff caches, then waits on the batches.  Set
-    ``OPENBLAS_NUM_THREADS=1`` before NumPy loads: with BLAS threads inside each
-    solve the threads oversubscribe the CPUs.
+    ``OPENBLAS_NUM_THREADS=1`` before NumPy loads, as the CLI's entry point
+    does: with BLAS threads inside each solve the threads oversubscribe the
+    CPUs.
     """
     from concurrent.futures import ThreadPoolExecutor
 

@@ -288,6 +288,11 @@ def test_criterion_8_mean_photon_gain_invariance(model_cuts):
 def test_criterion_9_density_matrix_invariants(
         ref_point, bimode_point, cut20, cut30, model_cuts, quadrant_minima):
     desc = "every mapped steady state: trace, Hermiticity, positivity, residual in tolerance"
+    # the band solver builds rho exactly Hermitian (it fills rows d <= -2 by the
+    # conjugate mirror of rows d >= 2 and projects the middle rows), so the
+    # Hermiticity defect reads 0 by construction (herm 0.0e+00 over 5287 solves)
+    # and no longer measures the solver; the check stays for any other solver.
+    # Trace, positivity and residual still measure it
     log = INVARIANTS
     ok = (
         log.max_trace_defect <= 1e-10

@@ -641,8 +641,8 @@ def test_module_and_script_share_one_entry_point():
 
     pyproject = Path(qdblockade.__file__).resolve().parents[2] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
-    assert scripts == {"qdblockade": "qdblockade.cli:run"}
-    assert module_main.run is cli.run  # importing it ran nothing
+    assert scripts == {"qdblockade": "qdblockade.__main__:run"}
+    assert callable(module_main.run)  # importing it ran nothing: run ends the process
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -733,13 +733,14 @@ def test_point_at_top_cutoff_stays_small():
     _, rows = parse_csv(proc.stdout)
     assert rows[0]["cutoff_used"] == "40"
     assert float(rows[0]["residual"]) < 1e-9
-    # measured VmHWM 112,736-112,756 kB with the band solver (its band is 58.7 MB);
-    # 117,744 kB with SuperLU, 135,020 kB before SuperLU's ordering was cached
+    # measured VmHWM 86,016-86,096 kB with the mirrored band (its band is 31.2 MB);
+    # 112,736-112,844 kB with the one-sided band (58.7 MB), 117,744 kB with
+    # SuperLU, 135,020 kB before SuperLU's ordering was cached
     assert peak_bytes < 200e6
 
 
 def test_sweep_at_top_cutoff_grows_by_one_factorization_per_worker():
-    # the grid solves on every CPU, so each worker holds a cutoff-40 band (58.7 MB)
+    # the grid solves on every CPU, so each worker holds a cutoff-40 band (31.2 MB)
     proc, peak_bytes = run_measuring_peak(["sweep", "--axis", "delta:-30:30:6", *REF_ARGS[2:],
                                            "--cutoff", "40", "--engines", "numeric"],
                                           timeout=300)
@@ -747,7 +748,8 @@ def test_sweep_at_top_cutoff_grows_by_one_factorization_per_worker():
     _, rows = parse_csv(proc.stdout)
     assert [row["status"] for row in rows] == ["ok"] * 6
     # min(6, CPUs) workers share the 6 cells, one at a time.  With 2 workers: measured
-    # VmHWM 175,328-175,520 kB with the band solver; with SuperLU 162,772-164,264 kB
+    # VmHWM 123,092-123,244 kB with the mirrored band, 175,328-175,520 kB with the
+    # one-sided band; with SuperLU 162,772-164,264 kB
     # (162,264-163,316 kB when cell 0 was solved alone first), against
     # 118,984-119,196 kB when the cells were solved one after another
     workers = min(6, len(os.sched_getaffinity(0)))

@@ -1,9 +1,11 @@
-"""Which SciPy modules a CLI run loads, checked in child processes.
+"""Which modules a run loads, and in what order, checked in child processes.
 
-Only a cell with a finite generator that the band solver refuses needs SciPy,
-for SuperLU.  An import of the CLI, numeric runs whose cells the band solves,
-a numeric point whose generator overflows (refused before any solve), a
-weak-drive sweep, an ``optimum`` root search and a usage error load none of it.
+Importing the package loads no NumPy, and the CLI's entry point sets BLAS's
+thread count before NumPy loads.  Only a cell with a finite generator that
+the band solver refuses needs SciPy, for SuperLU.  An import of the CLI,
+numeric runs whose cells the band solves, a numeric point whose generator
+overflows (refused before any solve), a weak-drive sweep, an ``optimum`` root
+search and a usage error load none of it.
 """
 
 import subprocess
@@ -23,6 +25,51 @@ def loaded_scipy(argv):
                           text=True, timeout=120, env=child_env())
     code, *modules = proc.stdout.splitlines()[-1].split()
     return int(code), set(modules)
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# prints the three variables, and whether numpy is loaded, when numpy is first
+# looked up, then runs an entry point on the given argv
+WATCH_NUMPY = """import os, sys
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print("numpy", "numpy" in sys.modules,
+                  *(os.environ.get(v) for v in {variables}), file=sys.stderr)
+sys.meta_path.insert(0, Watch())
+{entry}
+"""
+ENTRIES = {
+    "module": "import runpy; runpy.run_module('qdblockade', run_name='__main__', alter_sys=True)",
+    "script": "from qdblockade.__main__ import run; run()",
+}
+
+
+def test_importing_the_package_loads_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qdblockade; print('numpy' in sys.modules); "
+         "print(qdblockade.ModelParams.__module__, 'numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "qdblockade.model", "True"]
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES)
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "set"])
+def test_entry_point_sets_blas_threads_before_numpy_loads(entry, preset):
+    # one BLAS thread for each variable left unset; a value set in the environment wins
+    env = child_env()
+    for name in BLAS_VARIABLES:
+        env.pop(name, None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = WATCH_NUMPY.format(variables=BLAS_VARIABLES, entry=entry)
+    proc = subprocess.run([sys.executable, "-c", code, "point", "--E", "0.1", "--cutoff", "4",
+                           "--engines", "numeric"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("g2_numeric,")
+    assert proc.stderr.split() == ["numpy", "False", preset or "1", "1", "1"]
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -183,6 +183,70 @@ def test_band_refusals_are_solved_by_superlu(monkeypatch):
                                             HilbertSpace(4)).g2_zero
 
 
+def test_band_solves_strong_drives_within_its_reach(monkeypatch):
+    # the mirrored elimination keeps the one-sided band's reach: at E = 1e4 it
+    # meets the gate with no rescue (residual 1.7e-12 at cutoff 4, 5.8e-13 at
+    # 10).  Without the Hermitian projection of the middle blocks' solution,
+    # rounding there grows through the back-substitution and misses the gate
+    superlu = steady_state._superlu_solve
+    rescued = []
+
+    def record(params, space):
+        rescued.append((params, space.photon_cutoff))
+        return superlu(params, space)
+
+    monkeypatch.setattr(steady_state, "_superlu_solve", record)
+    for cutoff in (4, 10):
+        res = solve_steady_state(ModelParams(g=20.0, E=1e4, U=0.05), HilbertSpace(cutoff))
+        assert res.residual < 1e-9
+    assert rescued == []
+
+
+@pytest.mark.parametrize("cutoff", [4, 8, 12])
+def test_band_solution_is_exactly_hermitian(cutoff):
+    # rows d <= -2 are filled by the conjugate mirror of rows d >= 2, and the
+    # middle rows d = -1, 0, 1 are projected onto their Hermitian part
+    for p in SPECIAL_POINTS:
+        rho = solve_steady_state(p, HilbertSpace(cutoff)).rho
+        assert np.array_equal(rho, rho.conj().T)
+
+
+@pytest.mark.parametrize("cutoff", [4, 10, 20])
+def test_generator_commutes_with_the_transpose_up_to_conjugation(cutoff):
+    # T L T = conj(L) bit for bit, with T: vec(rho) -> vec(rho^T): L maps
+    # Hermitian matrices to Hermitian matrices, and the band's mirror rests on it
+    space = HilbertSpace(cutoff)
+    dim, n2 = space.dim, space.dim ** 2
+    indices, indptr, values = model._generator_parts(space)
+    rows = indices.astype(np.intp)
+    cols = np.repeat(np.arange(n2), np.diff(indptr))
+    keys = cols * n2 + rows  # sorted: CSC is column-major
+
+    def transpose(v):  # vec(rho)[j dim + i] is rho[i, j]
+        return (v % dim) * dim + v // dim
+
+    at = np.searchsorted(keys, transpose(cols) * n2 + transpose(rows))
+    assert np.array_equal(keys[at], transpose(cols) * n2 + transpose(rows))
+    rng = np.random.default_rng(3000 + cutoff)
+    params = [ModelParams(delta=rng.uniform(-60, 60), delta_a=rng.uniform(-60, 60),
+                          g=rng.uniform(0, 20), E=rng.uniform(0, 2), U=rng.uniform(0, 0.05),
+                          kappa=rng.uniform(0.5, 2.0), gamma=rng.uniform(0.5, 2.0))
+              for _ in range(5)]
+    data = model._generator_data(values, params)
+    assert np.array_equal(data[:, at], data.conj())
+
+    # the band's mirror is T on its places: an involution mapping block d onto block -d
+    band = steady_state._band_system(space)
+    places = np.arange(n2)
+    assert np.array_equal(band.mirror[band.mirror], places)
+    assert np.array_equal(band.order[band.mirror], transpose(band.order))
+    bounds = band.bounds
+    nb = len(bounds) - 1
+    for k in range(nb):
+        assert np.array_equal(np.sort(band.mirror[bounds[k]:bounds[k + 1]]),
+                              places[bounds[nb - 1 - k]:bounds[nb - k]])
+
+
 def test_overflowing_drive_is_refused():
     # E = 1e308 overflows the generator itself; at E = 5e307 L is finite but
     # the solution overflows, and that must not pass the 1e-9 gate
