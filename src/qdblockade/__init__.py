@@ -1,8 +1,8 @@
 """Photon-blockade simulator for a quantum dot in a parametrically driven nanocavity.
 
-The names below are imported from their modules on first use (PEP 562), so
-importing the package loads no NumPy, and ``python -m qdblockade`` can set
-BLAS's thread count before NumPy loads it.
+The names below, and the modules that define them, are imported on first use
+(PEP 562), so importing the package loads no NumPy, and ``python -m
+qdblockade`` can set BLAS's thread count before NumPy loads it.
 """
 
 from importlib import import_module
@@ -22,6 +22,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
+    if name in _EXPORTS.values():  # a submodule: importing it binds it here
+        return import_module(f".{name}", __name__)
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)

@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import SingularSystemError
 from .model import ModelParams
+
+if TYPE_CHECKING:
+    from numpy.polynomial import Polynomial
 
 __all__ = [
     "ConditionRoot",
@@ -251,7 +254,7 @@ def _unit(f: Polynomial) -> Polynomial:
     """``f`` with its largest coefficient part at 1, divided part by part: NumPy's
     complex divide takes a reciprocal, which overflows for a subnormal divisor."""
     m = np.abs([f.coef.real, f.coef.imag]).max() or 1.0
-    return Polynomial(f.coef.real / m + 1j * (f.coef.imag / m))
+    return type(f)(f.coef.real / m + 1j * (f.coef.imag / m))
 
 
 def _roots(f: Polynomial) -> np.ndarray:
@@ -267,7 +270,7 @@ def _real_zeros(f: Polynomial) -> list[float]:
     the size of f's terms there: rounding leaves ~1e-16, while a lossy system's
     poles lie a linewidth off the real axis."""
     t = np.clip(np.append(_roots(f).real, -1.0), -1.0, 1.0)
-    size = Polynomial(np.abs(f.coef))(np.abs(t))
+    size = type(f)(np.abs(f.coef))(np.abs(t))
     return t[np.abs(f(t)) <= 1e-12 * size].tolist()
 
 
@@ -291,6 +294,8 @@ def ucpb_roots(params: ModelParams, free: str,
     non-finite N or D, or D = 0, raise failure 5, and a real zero of a denominator
     factor raises that factor's failure, the lowest zero first.
     """
+    from numpy.polynomial import Polynomial
+
     if free not in ("delta", "delta_a"):
         raise ValueError(f"free axis must be 'delta' or 'delta_a', got {free!r}")
     lo, hi = float(interval[0]), float(interval[1])

@@ -17,10 +17,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .analytic import failure_error, ucpb_roots, weak_drive_grid
 from .errors import BlockadeError, CutoffConvergenceError
-from .model import ModelParams
-from .steady_state import MAX_CUTOFF, steady_state_grid
+from .model import MAX_CUTOFF, ModelParams
 
 __all__ = ["main", "run"]
 
@@ -34,8 +32,15 @@ _ENGINES = {"numeric": "steady-state solve", "analytic": "weak-drive evaluation"
 MAX_GRID_POINTS = 10**6
 # a grid row's status, by the class of its first failing column's error
 _STATUS = ("ok", "no_converge", "singular")
+_STATUS_TEXTS = np.array(_STATUS, dtype="S")
 # rows formatted at a time, which bounds the CSV's per-cell temporaries
 _BLOCK_ROWS = 1 << 16
+# 10 ** (8 - e) for a decimal exponent |e| < 100 at index 99 - e, each correctly rounded
+_POW10 = np.array([float(f"1e{k}") for k in range(-91, 108)])
+# texts of two bytes: "00" to "99", "0." to "9.", and an exponent's "e+" and "e-"
+_PAIRS = np.array([b"%02d" % i for i in range(100)], dtype="S2")
+_LEADS = np.array([b"%d." % i for i in range(10)], dtype="S2")
+_EXP_SIGNS = np.array([b"e+", b"e-"], dtype="S2")
 
 
 class _UsageError(Exception):
@@ -149,46 +154,108 @@ def _emit(lines: Iterable[str], out_path: str | None) -> int:
     return 0
 
 
-def _csv_rows(columns: list[tuple[np.ndarray, str]], status: np.ndarray) -> Iterator[str]:
-    """The CSV rows ``fmt % cell`` for each ``(values, fmt)`` column, then the
-    ``_STATUS[status]`` words, as blocks of rows joined by newlines.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _e8(x: np.ndarray) -> np.ndarray:
+    """``("%.8e" % v).encode()`` for each v of the flat float64 array ``x``, as an
+    S16 array (an S array pads a shorter text with NULs).
 
-    The rows run over ``status`` in C order, each ``values`` broadcast to its shape,
-    with the text of ``",".join(fmts + ["%s"]) % row`` row by row.  A column whose
-    cells are at most half distinct (a grid axis, a constant column, the status)
-    formats each distinct bit pattern once and repeats its text by index; keying
-    on bits, not float equality, keeps -0.0 apart from 0.0.  A constant column is
-    written into the row template, which formats the rest, one ``%`` per block.
+    With e = floor(log10|v|) the nine digits are rint(q), q = |v| * 10 ** (8 - e),
+    and the power is correctly rounded: q is then within ~1.7e-7 of the exact
+    scaled value, so rint(q) gives Python's correctly rounded digits wherever q is
+    more than 1e-6 from a rounding tie.  Python formats, once per bit pattern, the
+    cells near a tie, those whose digits fall outside [1e8, 1e9) (log10 one off, or
+    a carry to 10), those with |e| >= 100, zeros and non-finite values.
+    """
+    a = np.abs(x)
+    e = np.floor(np.log10(a))
+    usable = np.abs(e) < 100  # false for 0, inf and nan
+    e = np.where(usable, e, 0).astype(np.intp)
+    q = a * _POW10[99 - e]
+    digits = np.rint(q)
+    exact = usable & (digits >= 1e8) & (digits < 1e9) & (np.abs(q - np.floor(q) - 0.5) > 1e-6)
+    digits = np.where(exact, digits, 1e8).astype(np.int64)
+    low = digits % 100_000_000
+    out = np.empty((x.size, 8), dtype="S2")  # d. dd dd dd dd e± XX, then padding
+    out[:, 0] = _LEADS[digits // 100_000_000]
+    out[:, 1] = _PAIRS[low // 1_000_000]
+    out[:, 2] = _PAIRS[low // 10_000 % 100]
+    out[:, 3] = _PAIRS[low // 100 % 100]
+    out[:, 4] = _PAIRS[low % 100]
+    out[:, 5] = _EXP_SIGNS[(e < 0).view(np.int8)]
+    out[:, 6] = _PAIRS[np.abs(e)]
+    out[:, 7] = b""
+    negative = np.flatnonzero(exact & np.signbit(x))
+    if negative.size:  # a sign ahead of the text
+        chars = out.view(np.uint8)
+        chars[negative, 1:15] = chars[negative, 0:14]
+        chars[negative, 0] = ord("-")
+    texts = out.view("S16").reshape(-1)
+    odd = np.flatnonzero(~exact)
+    if odd.size:
+        bits, index = np.unique(x[odd].view(np.uint64), return_inverse=True)
+        texts[odd] = np.array([b"%.8e" % v for v in bits.view(float).tolist()],
+                              dtype="S16")[index]
+    return texts
+
+
+def _texts(values: np.ndarray, fmt: str) -> np.ndarray:
+    """Each cell's text as a flat S array: ``fmt % v`` for "%.8e" and "%d" (integer
+    values), and a status code's ``_STATUS`` word for "status"."""
+    values = values.reshape(-1)
+    if fmt == "%.8e":
+        return _e8(values.astype(float, copy=False))
+    if fmt == "%d":
+        return values.astype("S")
+    return _STATUS_TEXTS[values]
+
+
+def _tight(texts: np.ndarray) -> np.ndarray:
+    """The flat S array ``texts`` at the width of its longest text."""
+    chars, width = texts[:, None].view(np.uint8), texts.dtype.itemsize
+    while width > 1 and not chars[:, width - 1].any():  # texts start at byte 0
+        width -= 1
+    return texts.astype(f"S{width}")
+
+
+def _csv_rows(columns: list[tuple[np.ndarray, str]], status: np.ndarray) -> Iterator[str]:
+    """The CSV rows ``fmt % cell`` for each ``(values, fmt)`` column, ``fmt`` "%.8e"
+    or "%d", then the ``_STATUS[status]`` words, as blocks of rows joined by newlines.
+
+    The rows run over ``status`` in C order, each ``values`` broadcast to its shape.
+    A block of ``_BLOCK_ROWS`` rows is built as bytes: each column's texts, at the
+    width of the longest, fill their slots of one byte matrix between the commas and
+    the newlines, and the NULs that pad the shorter texts are dropped.  Floats are
+    formatted by :func:`_e8`.  A column smaller than the grid (an axis, a number) is
+    formatted at its own size and broadcast, and so is a full-size column whose
+    cells share one bit pattern (one comparison with its first cell); keying on
+    bits, not float equality, keeps -0.0 apart from 0.0.
     """
     shape, n = status.shape, status.size
-    fmts, cells = [], []
-
-    def repeat(texts: list[str], index: np.ndarray) -> None:
-        if len(texts) == 1:
-            fmts.append(texts[0])  # no % in a number's text or a status word
-        else:
-            fmts.append("%s")
-            cells.append(np.array(texts, dtype=object)[np.broadcast_to(index, shape)].ravel())
-
-    for values, fmt in columns:
+    cells = []  # (flat full-size texts, None), or (flat values, fmt) to format by block
+    for values, fmt in [*columns, (status, "status")]:
         values = np.asarray(values)
-        distinct, index = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-        if 2 * distinct.size > n:
-            fmts.append(fmt)
-            cells.append(np.broadcast_to(values, shape).ravel())
+        if values.size == n:
+            bits = values.reshape(-1).view(f"u{values.itemsize}")
+            if (bits == bits[0]).all():
+                values = values.reshape(-1)[:1]
+        if values.size == n:
+            cells.append((values.reshape(-1), fmt))
         else:
-            distinct = distinct.view(values.dtype).tolist()
-            repeat(((fmt + "\n") * len(distinct) % tuple(distinct)).split("\n")[:-1],
-                   index.reshape(values.shape))  # NumPy < 2 flattens it
-    codes, index = np.unique(status, return_inverse=True)
-    repeat([_STATUS[c] for c in codes.tolist()], index.reshape(shape))
-    row, k = ",".join(fmts), len(cells)
+            texts = _tight(_texts(values, fmt)).reshape(values.shape)
+            cells.append((np.broadcast_to(texts, shape).reshape(-1), None))
     for start in range(0, n, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, n - start)
-        flat = [None] * (rows * k)
-        for j, cell in enumerate(cells):
-            flat[j::k] = cell[start:start + rows].tolist()
-        yield "\n".join([row] * rows) % tuple(flat)
+        stop = min(start + _BLOCK_ROWS, n)
+        parts = [v[start:stop] if fmt is None else _tight(_texts(v[start:stop], fmt))
+                 for v, fmt in cells]
+        widths = [p.dtype.itemsize for p in parts]
+        buf = np.full((stop - start, sum(widths) + len(parts)), ord(","), dtype=np.uint8)
+        buf[:, -1] = ord("\n")
+        buf[-1, -1] = 0  # the block's last row ends without one
+        end = 0
+        for part, width in zip(parts, widths):
+            buf[:, end:end + width].view(f"V{width}")[:, 0] = part.view(f"V{width}")
+            end += width + 1
+        yield buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write_gnuplot(path: str, csv_path: str, header: list[str], two_d: bool) -> int:
@@ -217,6 +284,8 @@ def _status(exc: BlockadeError) -> int:
 
 def _numeric(args, fields: dict) -> tuple:
     """Steady-state engine: the grid of ``steady_state_grid`` and its status."""
+    from .steady_state import steady_state_grid
+
     grid = steady_state_grid(args.cutoff, args.converge_tol, **fields)
     status = np.zeros(grid.failure.shape, dtype=np.intp)
     failed = grid.failure != None  # noqa: E711 (elementwise)
@@ -228,14 +297,20 @@ def _numeric(args, fields: dict) -> tuple:
 def _analytic(args, fields: dict) -> tuple:
     """Weak-drive engine, one array evaluation for the whole grid; it has no
     cutoff or residual of its own, so every cell reads ``--cutoff`` and nan."""
+    from .analytic import failure_error, weak_drive_grid
+
     grid = weak_drive_grid(**fields)
     n_a = grid.n_a
     code = np.where(grid.n_a_failure != 0, grid.n_a_failure, grid.g2_failure)
     failure = np.full(code.shape, None, dtype=object)
     status = np.zeros(code.shape, dtype=np.intp)
-    for c in np.unique(code[code != 0]).tolist():  # one exception per failing code
-        exc, cells = failure_error(c), code == c
-        failure[cells], n_a[cells], status[cells] = exc, math.nan, _status(exc)
+    # one exception per failing code; np.unique without return_inverse would import
+    # numpy.ma (~30 ms) in NumPy 2
+    for c in range(1, int(code.max()) + 1):
+        cells = code == c
+        if cells.any():
+            exc = failure_error(c)
+            failure[cells], n_a[cells], status[cells] = exc, math.nan, _status(exc)
     return grid.g2, n_a, args.cutoff, math.nan, failure, status
 
 
@@ -297,6 +372,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_optimum(args) -> int:
+    from .analytic import ucpb_roots
+
     params = _params_from_args(args)
     name, start, stop, _ = axis = _parse_axis(args.axis)
     if name not in ("delta", "delta_a"):
@@ -318,6 +395,8 @@ def cmd_optimum(args) -> int:
 
 def cmd_convergence(args) -> int:
     """The rungs a one-cell ladder solved, up to the one it settled on."""
+    from .steady_state import steady_state_grid
+
     history = []
     tol = 1e-6 if args.converge_tol is None else args.converge_tol
     failed = steady_state_grid(args.cutoff, tol, history,
@@ -369,15 +448,19 @@ _CONFIG_KEYS = {flag.replace("-", "_"): spec.get("type", str) for flag, spec in 
                 if flag not in ("config", "gnuplot", "axis", "axis2")}
 
 
-def _build_parser() -> tuple[_Parser, dict]:
+def _build_parser(argv: list[str]) -> tuple[_Parser, dict]:
+    """The parser, and each subcommand's, with flags only on the subcommand ``argv``
+    runs: the first item naming one, since the top level takes no option but -h."""
+    command = next((arg for arg in argv if arg in _SUBCOMMANDS), None)
     parser = _Parser(prog="qdblockade",
                      description="Photon-blockade steady-state sweeps and blockade conditions")
     sub = parser.add_subparsers(dest="command", required=True)
     subs = {}
     for name, (help_text, func, flags) in _SUBCOMMANDS.items():
         subs[name] = sub.add_parser(name, help=help_text)
-        for flag in _SHARED + flags:
-            subs[name].add_argument(f"--{flag}", **_FLAGS[flag])
+        if name == command:
+            for flag in _SHARED + flags:
+                subs[name].add_argument(f"--{flag}", **_FLAGS[flag])
         subs[name].set_defaults(func=func)
     return parser, subs
 
@@ -391,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subs = _build_parser()
+    parser, subs = _build_parser(argv)
     try:
         pre = argparse.ArgumentParser(add_help=False)
         pre.add_argument("--config", default=None)

@@ -23,6 +23,11 @@ class SteadyStateResidualError(BlockadeError):
         self.residual = residual
         self.tol = tol
 
+    def __reduce__(self):
+        # the default rebuilds an exception from its message, which is not the
+        # signature of __init__
+        return type(self), (self.residual, self.tol)
+
 
 class CutoffConvergenceError(BlockadeError):
     """Observables failed to settle within the allowed Fock cutoffs."""

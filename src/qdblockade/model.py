@@ -45,6 +45,10 @@ __all__ = [
     "build_liouvillian",
 ]
 
+# the largest Fock cutoff: the top of steady_state_grid's cutoff ladder and of
+# the CLI's --cutoff
+MAX_CUTOFF = 40
+
 
 @dataclass(frozen=True)
 class HilbertSpace:

@@ -48,6 +48,7 @@ from .errors import (
     SteadyStateResidualError,
 )
 from .model import (
+    MAX_CUTOFF,
     HilbertSpace,
     ModelParams,
     _csc_pattern,
@@ -64,8 +65,6 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-9
-# top of steady_state_grid's cutoff ladder and of the CLI's --cutoff
-MAX_CUTOFF = 40
 
 # occupations below this are treated as exactly dark when forming ratios
 _DARK_FLOOR = 1e-12
@@ -410,11 +409,11 @@ def _solve_batch(params: list[ModelParams], space: HilbertSpace) -> list[SteadyS
     together, SuperLU solves again each finite cell the band refused, and one
     gate checks either solution."""
     out: list = [None] * len(params)
-    # a decoupled lossless cavity evolves unitarily, so every function of its
-    # Hamiltonian is stationary; its dot populations may be unique, its cavity's not
+    # a lossless cavity that is decoupled from the dot, or coupled to a lossless
+    # dot, evolves unitarily, so every function of its Hamiltonian is stationary
     cells = []
     for i, p in enumerate(params):
-        if p.g == 0.0 and p.kappa == 0.0:
+        if p.kappa == 0.0 and (p.g == 0.0 or p.gamma == 0.0):
             out[i] = DegenerateSteadyStateError(_DEGENERATE)
         else:
             cells.append(i)

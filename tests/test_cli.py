@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qdblockade
-from qdblockade import cli, steady_state
+from qdblockade import analytic, cli, steady_state
 from qdblockade.analytic import failure_error
 from qdblockade.cli import main
 from qdblockade.errors import CutoffConvergenceError
@@ -121,7 +121,7 @@ def test_usage_errors_exit_1(capsys, monkeypatch, argv):
     # refused before any solve: a nan tolerance would otherwise climb to cutoff 40
     def no_solve(*args, **kwargs):
         raise AssertionError("solver reached")
-    monkeypatch.setattr(cli, "steady_state_grid", no_solve)
+    monkeypatch.setattr(steady_state, "steady_state_grid", no_solve)
     code, _, err = run(capsys, argv)
     assert code == 1
     assert len(err.splitlines()) == 1
@@ -135,12 +135,12 @@ def test_analytic_sweep_outside_domain_reads_ok_and_passes_warnings(capsys, recw
     assert code == 0
     assert [r["status"] for r in parse_csv(out)[1]] == ["ok"] * 4
     # a warning raised while evaluating the grid reaches the caller
-    weak_drive_grid = cli.weak_drive_grid
+    weak_drive_grid = analytic.weak_drive_grid
 
     def noisy(**fields):
         warnings.warn("some other trouble", RuntimeWarning)
         return weak_drive_grid(**fields)
-    monkeypatch.setattr(cli, "weak_drive_grid", noisy)
+    monkeypatch.setattr(analytic, "weak_drive_grid", noisy)
     code, _, _ = run(capsys, ["sweep", "--axis", "E:0.1:5:4", "--engines", "analytic"])
     assert code == 0
     assert {str(w.message) for w in recwarn} == {"some other trouble"}
@@ -235,11 +235,11 @@ def test_unsettled_ladder_reads_no_converge(capsys, monkeypatch):
 def test_engines_receive_broadcast_axes(capsys, monkeypatch, argv, axes):
     # the fast axis is a row, the slow axis a column, and every fixed field a number
     shapes = []
-    for name in ("steady_state_grid", "weak_drive_grid"):
-        def recording(*args, engine=getattr(cli, name), **fields):
+    for module, name in ((steady_state, "steady_state_grid"), (analytic, "weak_drive_grid")):
+        def recording(*args, engine=getattr(module, name), **fields):
             shapes.append({k: np.shape(v) for k, v in fields.items()})
             return engine(*args, **fields)
-        monkeypatch.setattr(cli, name, recording)
+        monkeypatch.setattr(module, name, recording)
     code, out, _ = run(capsys, [*argv, "--E", "0.1", "--cutoff", "4"])
     assert code == 0
     assert len(parse_csv(out)[1]) == math.prod(n for shape in axes.values() for n in shape)
@@ -255,7 +255,7 @@ def test_dark_analytic_sweep_builds_one_error_per_failure_code(capsys, monkeypat
     def counting(code):
         calls.append(code)
         return failure_error(code)
-    monkeypatch.setattr(cli, "failure_error", counting)
+    monkeypatch.setattr(analytic, "failure_error", counting)
     code, out, _ = run(capsys, ["sweep", "--axis", "delta:-60:60:1000", "--g", "20",
                                 "--engines", "analytic"])
     assert code == 0
@@ -557,6 +557,47 @@ def test_csv_rows_take_broadcast_columns(shape):
     got = "\n".join(cli._csv_rows(columns, status))
     full = [(np.broadcast_to(values, shape).ravel(), fmt) for values, fmt in columns]
     assert got == rowwise_csv_rows(full, status.ravel())
+
+
+def e8_families(rng):
+    """Doubles that probe each branch of ``cli._e8``: seeded values over decimal
+    exponents -120 to 120, random bit patterns, values next to nine-digit rounding
+    ties, nine-digit values, powers of ten and their neighbours, subnormals and the
+    special values."""
+    n = 100_000
+    spread = rng.standard_normal(n) * 10.0 ** rng.integers(-120, 121, n)
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(float)
+    digits = rng.integers(10**8, 10**9, n)
+    scale = 10.0 ** rng.integers(-40, 41, n).astype(float)
+    ties = (digits + 0.5) * scale
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    subnormals = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(float)
+    families = [spread, bits, ties, np.nextafter(ties, 0.0), np.nextafter(ties, math.inf),
+                digits * scale, powers, np.nextafter(powers, 0.0),
+                np.nextafter(powers, math.inf), subnormals, np.array(SPECIALS)]
+    return np.concatenate([x for f in families for x in (f, -f)])
+
+
+def test_e8_equals_python_formatting():
+    x = e8_families(np.random.default_rng(2028))
+    got = cli._e8(x).tolist()
+    want = [b"%.8e" % v for v in x.tolist()]
+    first_bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert first_bad is None, (x[first_bad], got[first_bad], want[first_bad])
+    assert len(got) == len(want) == x.size
+
+
+@pytest.mark.parametrize("command", [None, *cli._SUBCOMMANDS])
+def test_help_is_that_of_a_parser_with_every_flag(capsys, command):
+    # a run's parser has flags only on its own subcommand, and no subcommand's
+    # help lacks one
+    parser, subs = cli._build_parser([])
+    for name, (_, _, flags) in cli._SUBCOMMANDS.items():
+        for flag in cli._SHARED + flags:
+            subs[name].add_argument(f"--{flag}", **cli._FLAGS[flag])
+    want = (parser if command is None else subs[command]).format_help()
+    code, out, err = run(capsys, ["--help"] if command is None else [command, "--help"])
+    assert (code, out, err) == (0, want, "")
 
 
 def test_convergence_table(capsys):

@@ -1,11 +1,14 @@
 """Which modules a run loads, and in what order, checked in child processes.
 
 Importing the package loads no NumPy, and the CLI's entry point sets BLAS's
-thread count before NumPy loads.  Only a cell with a finite generator that
-the band solver refuses needs SciPy, for SuperLU.  An import of the CLI,
-numeric runs whose cells the band solves, a numeric point whose generator
-overflows (refused before any solve), a weak-drive sweep, an ``optimum`` root
-search and a usage error load none of it.
+thread count before NumPy loads.  A command imports only the engine it runs:
+a weak-drive sweep and ``optimum`` never load ``steady_state``, and the
+numeric commands never load ``analytic`` or ``numpy.polynomial``.  Only a
+cell with a finite generator that the band solver refuses needs SciPy, for
+SuperLU.  An import of the CLI, numeric runs whose cells the band solves, a
+numeric point whose generator overflows (refused before any solve), a
+weak-drive sweep, an ``optimum`` root search and a usage error load none of
+it.
 """
 
 import subprocess
@@ -15,16 +18,23 @@ import pytest
 
 from test_cli import child_env
 
-# runs the CLI on the given argv, then prints its exit code and the loaded scipy modules
-REPORT = ("import sys; from qdblockade.cli import main; code = main(); "
-          "print(code, *sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+# runs the CLI on the given argv, then prints its exit code and the modules it
+# loaded beyond those that importing NumPy loads
+REPORT = ("import sys, numpy; numpy_loads = set(sys.modules); "
+          "from qdblockade.cli import main; code = main(); "
+          "print(code, *sorted(set(sys.modules) - numpy_loads))")
 
 
-def loaded_scipy(argv):
+def loaded_modules(argv):
     proc = subprocess.run([sys.executable, "-c", REPORT, *argv], capture_output=True,
                           text=True, timeout=120, env=child_env())
     code, *modules = proc.stdout.splitlines()[-1].split()
     return int(code), set(modules)
+
+
+def loaded_scipy(argv):
+    code, modules = loaded_modules(argv)
+    return code, {m for m in modules if m.partition(".")[0] == "scipy"}
 
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -109,6 +119,26 @@ def test_numeric_runs_load_no_scipy(argv, exit_code):
     code, modules = loaded_scipy(argv)
     assert code == exit_code
     assert modules == set()
+
+
+WEAK = ["--g", "20", "--E", "0.1", "--U", "0.0005"]
+
+
+@pytest.mark.parametrize("argv, engine, other", [
+    (["sweep2d", *WEAK, "--engines", "analytic", "--axis", "delta:-60:60:5",
+      "--axis2", "delta_a:-60:60:5"], "analytic", {"qdblockade.steady_state"}),
+    (["optimum", *WEAK, "--delta", "30", "--axis", "delta_a:0:60:241"], "analytic",
+     {"qdblockade.steady_state"}),
+    (["compare", *WEAK, "--delta", "30", "--cutoff", "4", "--axis", "delta_a:4:40:5"],
+     "steady_state", {"qdblockade.analytic", "numpy.polynomial"}),
+    (["convergence", *WEAK, "--cutoff", "4"], "steady_state",
+     {"qdblockade.analytic", "numpy.polynomial"}),
+], ids=["sweep2d", "optimum", "compare", "convergence"])
+def test_a_command_imports_only_its_engine(argv, engine, other):
+    code, modules = loaded_modules(argv)
+    assert code == 0
+    assert f"qdblockade.{engine}" in modules
+    assert not modules & other
 
 
 def test_rescued_cell_loads_the_sparse_solver():

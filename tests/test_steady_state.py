@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from qdblockade import (
     BlockadeError,
+    errors,
     CutoffConvergenceError,
     DegenerateSteadyStateError,
     HilbertSpace,
@@ -115,6 +117,10 @@ def test_statistics_equal_dense_traces_on_random_states(cutoff):
 # gate at 2.4e-7, and the band's meets it (residual 3.3e-24, g2 = 4.97)
 GATE_MISS = ModelParams(delta=8.484416434305949, delta_a=-4.332328215628659, g=0.0, E=0.0,
                         U=7.170094177168514e-08, kappa=0.0, gamma=1.9228401943813833)
+# a lossless system (kappa = gamma = 0) also evolves unitarily; this point solved
+# through SuperLU and read n_a = -4.22e4 (residual 9.3e-13) with no failure
+LOSSLESS = ModelParams(delta=-16.646361291864366, delta_a=-26.721222971854402,
+                       g=0.5065983447746402, U=0.0036673283981565785, kappa=0.0, gamma=0.0)
 # a well-posed drive so large that rounding misses the gate: 2.0e-9 at cutoff 4,
 # through SuperLU, since the band misses it too
 LARGE_DRIVE = ModelParams(E=3e7)
@@ -131,8 +137,10 @@ def test_degenerate_generator_is_refused():
         (ModelParams(g=0.0, E=0.0, kappa=1.0, gamma=0.0), 6),
         # large entries, max|L| * eps = 0.044, still below the huge-entry class
         (ModelParams(g=1e14, E=0.1, kappa=0.0, gamma=0.0), 4),
-        # refused before any solve, as every g = kappa = 0 point is
+        # refused before any solve, as every point with kappa = 0 and g = 0 or
+        # gamma = 0 is
         (GATE_MISS, 12),
+        (LOSSLESS, 6),
     ]:
         with pytest.raises(DegenerateSteadyStateError):
             solve_steady_state(p, HilbertSpace(cutoff))
@@ -150,6 +158,18 @@ def test_degenerate_generator_is_refused():
                                                     OPENBLAS_NUM_THREADS=threads))
         assert proc.returncode == 0, proc.stderr
         assert 1e-9 < float(proc.stdout) < 1e-6, threads
+
+
+def test_errors_survive_pickle():
+    # one of each BlockadeError class, as a process pool would send it back
+    made = [BlockadeError("base"), SingularSystemError("singular"),
+            DegenerateSteadyStateError(steady_state._DEGENERATE),
+            errors.SteadyStateResidualError(2e-9, 1e-9), CutoffConvergenceError("unsettled")]
+    assert {type(exc) for exc in made} == {
+        c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, BlockadeError)}
+    for exc in made:
+        back = pickle.loads(pickle.dumps(exc))
+        assert (type(back), str(back), vars(back)) == (type(exc), str(exc), vars(exc))
 
 
 # drives the band refuses on the residual bound, which SuperLU meets: kappa =
