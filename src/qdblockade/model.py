@@ -106,7 +106,7 @@ def build_liouvillian(params: ModelParams, space: HilbertSpace) -> sp.csc_array:
     to the dense Kronecker sums.  vec(I) is a left null vector (the trace is
     preserved).  Parameters that overflow float64 leave inf or nan entries.
     """
-    import scipy.sparse as sp  # deferred: the weak-drive paths never load SciPy
+    import scipy.sparse as sp  # deferred: no solve loads SciPy
 
     indices, indptr, values = _generator_parts(space)
     data = _generator_data(values, [params])[0]

@@ -16,9 +16,10 @@ iterative refinement follows.  The layout is computed once per cutoff and
 cached; each solve fills in the values.  A cell whose generator overflows
 is refused before any solve.  A finite cell the band refuses (a singular
 diagonal block, non-finite values or a missed residual bound) is solved
-again by SuperLU, which alone solves very large drives, and only then is
-SciPy loaded.  One gate checks either solution.  Neither solver densifies
-the generator, so memory stays bounded at every cutoff.
+again by block Householder QR of the full band, placed from the same layout,
+which alone solves very large drives.  One gate checks either solution.
+Neither solver densifies the generator, so memory stays bounded at every
+cutoff, and neither needs SciPy.
 The solved rho is exactly Hermitian by construction and is otherwise used
 as-is: no eigenvalue clamping, so the trace, positivity and residual checks
 in tests measure the solver rather than a cosmetic cleanup.
@@ -51,10 +52,8 @@ from .model import (
     MAX_CUTOFF,
     HilbertSpace,
     ModelParams,
-    _csc_pattern,
     _generator_data,
     _generator_parts,
-    build_liouvillian,
 )
 
 __all__ = [
@@ -290,6 +289,15 @@ def _apply(data: np.ndarray, x: np.ndarray, band: _Band) -> np.ndarray:
     return np.add.reduceat(data * x[:, band.cols], band.row_starts, axis=1)
 
 
+def _refinement(data: np.ndarray, x: np.ndarray, band: _Band, space: HilbertSpace) -> np.ndarray:
+    """b - A x for each cell, the right-hand side of a refinement step: row 0 of A
+    is the trace, the rest that of L."""
+    r = -_apply(data, x, band)
+    # a strided row sums in another order when there are several rows: copy it first
+    r[:, 0] = 1.0 - np.ascontiguousarray(x[:, ::space.dim + 1]).sum(axis=1)
+    return r
+
+
 def _band_solve(data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
     """(vec(rho), ||L vec(rho)||_inf) of each cell on ``space``, whose generator
     entries, in row order, are the rows of ``data``; LinAlgError if a diagonal
@@ -308,10 +316,7 @@ def _band_solve(data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, np.n
     y[:, band.unfold[0]] = 1.0  # b, the trace row's 1
     _solve_band(blocks, bounds, middle, y)
     x = np.concatenate([y, y.conj()], axis=1)[:, band.unfold]
-    # one step of refinement on b - A x: row 0 of A is the trace, the rest that of L
-    r = -_apply(data, x, band)
-    # a strided row sums in another order when there are several rows: copy it first
-    r[:, 0] = 1.0 - np.ascontiguousarray(x[:, ::space.dim + 1]).sum(axis=1)
+    r = _refinement(data, x, band, space)
     # x is Hermitian, so the anti-Hermitian part of r is rounding: solve for the rest
     y = (r[:, band.order[low:]] + r[:, band.order[band.mirror[low:]]].conj()) * 0.5
     _solve_band(blocks, bounds, middle, y)
@@ -319,85 +324,86 @@ def _band_solve(data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, np.n
     return x, np.abs(_apply(data, x, band)).max(axis=1)
 
 
-@lru_cache(maxsize=None)
-def _ordered_system(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``(indices, indptr, perm, src)`` of the trace-replaced system on ``space``
-    for SuperLU, which ``_superlu_solve`` solves.
+def _qr_solve(data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_band_solve`'s result by block Householder QR of the full d band;
+    LinAlgError if a diagonal block of R of any cell is singular.
 
-    A is the generator with row 0 replaced by the trace functional vec(I)'.
-    ``perm`` is SuperLU's minimum-degree order on the pattern of A + A^T, and
-    ``indices`` / ``indptr`` are the CSC pattern of P A P^T, which holds
-    A[i, j] at (perm[i], perm[j]).  Its data is
-    ``concat(L.data, ones(dim))[src]`` for the generator L on ``space``.  The
-    order is read from the pattern alone, so it is the same for every
-    parameter point and every call order (1.0 MB at cutoff 40).
+    Block column k is reduced by the QR of block rows k .. k + 2, and Q^H is
+    applied to them over block columns k .. k + 4: the upper band widens from 2
+    blocks to 4, as LAPACK's gbtrf widens ku to kl + ku.  R is back-substituted,
+    one step of refinement follows, and the solution is projected onto its
+    Hermitian part.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import spilu
+    band, cells, n2 = _band_system(space), len(data), space.dim ** 2
+    bounds, nb = np.array(band.bounds), len(band.bounds) - 1
+    sizes = np.diff(bounds)
+    lo = bounds[np.maximum(np.arange(nb) - 2, 0)]  # block row k is held over block
+    width = bounds[np.minimum(np.arange(nb) + 5, nb)] - lo  # columns k - 2 .. k + 4
+    start = np.append(0, np.cumsum(sizes * width))
+    rank = np.empty(n2, dtype=np.intp)
+    rank[band.order] = np.arange(n2)
+    # the generator's rows but row 0, then the trace row, by place
+    rows = rank[np.repeat(np.arange(n2), np.diff(np.append(band.row_starts, data.shape[1])))]
+    rows = np.append(rows[band.row_starts[1]:], np.full(space.dim, rank[0]))
+    cols = rank[np.append(band.cols[band.row_starts[1]:], np.arange(space.dim) * (space.dim + 1))]
+    at = np.searchsorted(bounds, rows, side="right") - 1  # the block row of each entry
+    flat = np.zeros((cells, start[-1]), dtype=complex)
+    flat[:, start[at] + (rows - bounds[at]) * width[at] + cols - lo[at]] = np.append(
+        data[:, band.row_starts[1]:], np.ones((cells, space.dim)), axis=1)
+    held = [flat[:, start[k]:start[k + 1]].reshape(cells, sizes[k], width[k]) for k in range(nb)]
 
-    gen_indices, gen_indptr, _ = _generator_parts(space)
-    n2 = space.dim * space.dim
-    rows = gen_indices.astype(np.intp)
-    cols = np.repeat(np.arange(n2), np.diff(gen_indptr))
-    keep = np.flatnonzero(rows != 0)
-    # vec(I) has its ones at the diagonal positions k (dim + 1) of rho
-    rows = np.concatenate([rows[keep], np.zeros(space.dim, dtype=np.intp)])
-    cols = np.concatenate([cols[keep], np.arange(space.dim) * (space.dim + 1)])
-    src = np.concatenate([keep, gen_indices.size + np.arange(space.dim)])
+    qh, inv = [], []  # Q^H of each panel, the inverse of each diagonal block of R
+    for k in range(nb):
+        panel, span = range(k, min(k + 3, nb)), slice(bounds[k], bounds[min(k + 5, nb)])
+        slab = np.concatenate([held[i][:, :, span.start - lo[i]:span.stop - lo[i]]
+                               for i in panel], axis=1)
+        q, r = np.linalg.qr(slab[:, :, :sizes[k]], mode="complete")
+        qh.append(np.swapaxes(q.conj(), 1, 2))
+        slab = qh[k] @ slab
+        for i in panel:
+            held[i][:, :, span.start - lo[i]:span.stop - lo[i]] = \
+                slab[:, bounds[i] - bounds[k]:bounds[i + 1] - bounds[k]]
+        inv.append(np.linalg.inv(r[:, :sizes[k]]))
 
-    # values on the pattern that make it strictly diagonally dominant, so the
-    # incomplete factorization, which drops every entry it may, cannot meet a
-    # zero pivot; only its column order is kept.  The diagonal n2 is summed onto
-    # the ones as a duplicate COO entry.
-    diag = np.arange(n2)
-    pattern = sp.csc_array((np.concatenate([np.ones(rows.size), np.full(n2, float(n2))]),
-                            (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
-                           shape=(n2, n2))
-    perm = spilu(pattern, drop_tol=np.inf, permc_spec="MMD_AT_PLUS_A",
-                 options=dict(SymmetricMode=True)).perm_c
-    keys = perm[cols] * n2 + perm[rows]
-    order = np.argsort(keys)  # the keys are distinct
-    indices, indptr = _csc_pattern(keys[order], n2)
-    out = (indices, indptr, perm, src[order])
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    def solve(y: np.ndarray) -> None:  # y <- A^-1 y, by place
+        for k in range(nb):
+            part = y[:, bounds[k]:bounds[min(k + 3, nb)], np.newaxis]
+            part[...] = qh[k] @ part
+        for k in range(nb - 1, -1, -1):
+            right = slice(bounds[k + 1], bounds[min(k + 5, nb)])
+            part = y[:, bounds[k]:bounds[k + 1], np.newaxis]
+            part[...] = inv[k] @ (part - held[k][:, :, right.start - lo[k]:right.stop - lo[k]]
+                                  @ y[:, right, np.newaxis])
+
+    def hermitian(y: np.ndarray) -> np.ndarray:  # by place, to vec(rho)
+        return ((y + y[:, band.mirror].conj()) * 0.5)[:, rank]
+
+    y = np.zeros((cells, n2), dtype=complex)
+    y[:, rank[0]] = 1.0  # b, the trace row's 1
+    solve(y)
+    x = hermitian(y)
+    y = _refinement(data, x, band, space)[:, band.order]
+    solve(y)
+    x = hermitian(x[:, band.order] + y)
+    return x, np.abs(_apply(data, x, band)).max(axis=1)
 
 
-def _superlu_solve(params: ModelParams, space: HilbertSpace) -> tuple[np.ndarray, float]:
-    """(vec(rho), ||L vec(rho)||_inf) of one cell with a finite generator, by SuperLU.
-
-    The replaced system is factored on the cached, symmetrically permuted
-    pattern of ``_ordered_system`` (minimum-degree order of A + A^T, diagonal
-    pivots preferred), and one step of iterative refinement follows.  A
-    singular factorization raises DegenerateSteadyStateError, or
-    SingularSystemError where the generator's entries are too large to tell.
-    """
-    import scipy.sparse as sp  # deferred: only a refused cell loads SciPy
-    from scipy.sparse.linalg import splu
-
-    liou = build_liouvillian(params, space)
-    indices, indptr, perm, src = _ordered_system(space)
-    data = np.concatenate([liou.data, np.ones(space.dim)])[src]
-    a = sp.csc_array((data, indices, indptr), shape=liou.shape)
-    b = np.zeros(liou.shape[0], dtype=complex)
-    b[perm[0]] = 1.0  # the trace row, where P puts it
-
+def _each(solve, data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, ...]:
+    """``solve(data, space)`` for all cells at once, or cell by cell if it raises
+    LinAlgError: (vec(rho), residual, singular) per cell, with nan and True in
+    a cell whose own solve raised it."""
+    x = np.full((len(data), space.dim ** 2), math.nan, dtype=complex)
+    residual = np.full(len(data), math.nan)
+    singular = np.zeros(len(data), dtype=bool)
     try:
-        lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.01,
-                  options=dict(SymmetricMode=True))
-    except RuntimeError:  # SuperLU: the replaced system is exactly singular
-        scale = float(np.max(np.abs(liou.data)))
-        if scale * np.finfo(float).eps >= 1:
-            raise SingularSystemError(
-                f"trace-replaced Liouvillian is singular at entry magnitude {scale:.2e}, "
-                "where rounding exceeds 1, the unit of every rate; degeneracy cannot be told"
-            ) from None
-        raise DegenerateSteadyStateError(_DEGENERATE) from None
-    y = lu.solve(b)
-    y += lu.solve(b - a @ y)
-    x = y[perm]  # undo P
-    return x, float(np.max(np.abs(liou @ x)))
+        x[:], residual[:] = solve(data, space)
+    except np.linalg.LinAlgError:
+        for c in range(len(data)):
+            try:
+                x[c:c + 1], residual[c:c + 1] = solve(data[c:c + 1], space)
+            except np.linalg.LinAlgError:
+                singular[c] = True
+    return x, residual, singular
 
 
 # overflow leaves inf or nan, which the gate refuses
@@ -406,8 +412,8 @@ def _solve_batch(params: list[ModelParams], space: HilbertSpace) -> list[SteadyS
                                                                         BlockadeError]:
     """The steady state of each of ``params`` on ``space``, or the BlockadeError that
     refuses it, as :func:`solve_steady_state` gives it: the band solves the cells
-    together, SuperLU solves again each finite cell the band refused, and one
-    gate checks either solution."""
+    together, QR solves the finite cells the band refused together again, and
+    one gate checks either solution and decides the refused cells' class."""
     out: list = [None] * len(params)
     # a lossless cavity that is decoupled from the dot, or coupled to a lossless
     # dot, evolves unitarily, so every function of its Hamiltonian is stationary
@@ -419,18 +425,17 @@ def _solve_batch(params: list[ModelParams], space: HilbertSpace) -> list[SteadyS
             cells.append(i)
     data = _generator_data(_band_system(space).values, [params[i] for i in cells])
     finite = np.isfinite(data).all(axis=1)
-    x = np.full((len(cells), space.dim ** 2), math.nan, dtype=complex)
-    residual = np.full(len(cells), math.nan)
-    try:
-        x[finite], residual[finite] = _band_solve(data[finite], space)
-    except np.linalg.LinAlgError:  # a singular diagonal block: solve each cell alone
-        for c in np.flatnonzero(finite).tolist():
-            try:
-                x[c:c + 1], residual[c:c + 1] = _band_solve(data[c:c + 1], space)
-            except np.linalg.LinAlgError:
-                pass
 
-    def gate(vec: np.ndarray, res: float) -> SteadyStateResult | BlockadeError:
+    def gate(c: int, vec: np.ndarray, res: float,
+             singular: bool) -> SteadyStateResult | BlockadeError:
+        if singular or (res > RESIDUAL_TOL and np.isfinite(vec).all()):
+            scale = float(np.max(np.abs(data[c])))
+            if scale * np.finfo(float).eps >= 1:
+                return SingularSystemError(
+                    f"steady state unresolved at entry magnitude {scale:.2e}, where rounding "
+                    "exceeds 1, the unit of every rate; degeneracy cannot be told")
+            if singular:
+                return DegenerateSteadyStateError(_DEGENERATE)
         if not (math.isfinite(res) and np.isfinite(vec).all()):
             return SingularSystemError("steady state overflows float64")
         if res > RESIDUAL_TOL:
@@ -438,17 +443,16 @@ def _solve_batch(params: list[ModelParams], space: HilbertSpace) -> list[SteadyS
         rho = vec.reshape((space.dim, space.dim), order="F")  # undo the column stacking
         return SteadyStateResult(rho, *_statistics(rho, space), space.photon_cutoff, res)
 
-    for c, i in enumerate(cells):
-        if not finite[c]:  # an overflowing generator is refused before any solve
-            out[i] = SingularSystemError(
-                "Liouvillian has non-finite entries (parameters overflow)")
-            continue
-        out[i] = gate(x[c], float(residual[c]))
-        if isinstance(out[i], BlockadeError):  # the band refused the cell
-            try:
-                out[i] = gate(*_superlu_solve(params[i], space))
-            except BlockadeError as exc:
-                out[i] = exc
+    # the band solves the finite cells, and QR solves those it refused again, together
+    todo = np.flatnonzero(finite)
+    for solve in (_band_solve, _qr_solve):
+        if len(todo):
+            for c, vec, res, singular in zip(todo, *_each(solve, data[todo], space)):
+                out[cells[c]] = gate(c, vec, float(res), singular)
+            todo = [c for c in todo if isinstance(out[cells[c]], BlockadeError)]
+    for c in np.flatnonzero(~finite).tolist():  # refused before any solve
+        out[cells[c]] = SingularSystemError(
+            "Liouvillian has non-finite entries (parameters overflow)")
     return out
 
 
@@ -466,30 +470,28 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
     residual's Hermitian part follows.  The solution must be finite and meet
     ||L vec(rho)||_inf <= 1e-9 on the unpermuted L.  A cell the band refuses, on
     a singular diagonal block, non-finite values or a missed bound, is solved
-    again by SuperLU on a minimum-degree order (``_superlu_solve``); the same
-    checks on that solution, or its singular factorization, give the result.
+    again by block Householder QR of the full band (``_qr_solve``), whose
+    solution is projected onto its Hermitian part too, and that solve decides.
     With kappa = gamma = 1, g = 20 and U = 0.05 the band misses the bound from
-    E = 1e5 at cutoffs 4 and 10, and SuperLU meets it up to E = 1e7.
+    E = 1e5 at cutoffs 4 and 10, and QR meets it up to E = 1e7.
 
-    Failures fall in four classes:
+    Failures fall in four classes, decided by the entry scale max|L| * eps:
 
     - DegenerateSteadyStateError: g = kappa = 0, where a decoupled lossless cavity
-      has no unique steady state, refused before any solve; or A is exactly
-      singular, as it is when L has no unique trace-one null vector (row 0 of L
-      is minus the sum of its other diagonal rows, since vec(I)' L = 0), so a
-      singular SuperLU factorization raises it.
-    - SingularSystemError, huge entries: a singular factorization of an L whose
-      largest entry times the float64 epsilon is at least 1.  At that scale
-      rounding exceeds a unit rate, and a well-posed strong drive can factor
-      as singular too, so degeneracy cannot be told.
+      has no unique steady state, refused before any solve; or a singular
+      diagonal block of R below entry scale 1, as when L has no unique
+      trace-one null vector (A is then exactly singular).
+    - SingularSystemError, entry magnitude: a singular block of R, or a finite
+      miss of the bound, at entry scale 1 or more, where rounding exceeds a
+      unit rate and degeneracy cannot be told.
     - SingularSystemError, overflow: an overflowing generator, refused before
       any solve, or a non-finite solution.
-    - SteadyStateResidualError: a finite miss of the residual bound.  The bound
-      is absolute, so rounding in large entries misses it as well.
+    - SteadyStateResidualError: a finite miss of the bound below entry scale 1.
+      The bound is absolute, so rounding in large entries misses it as well.
 
-    At cutoff 4 with kappa = gamma = 1, drives from E = 3e7 up miss the
-    residual bound; some from E = 5e37 up (E = 1e40, 1e80, 1e300) factor as
-    singular instead and read as huge entries.
+    At cutoff 4 with kappa = gamma = 1 and every other field 0, drives from E =
+    3e7 up miss the residual bound, and from E = 2.3e15, where the entry scale
+    2 E eps reaches 1, they read as entry magnitude instead.
     """
     result = _solve_batch([params], space)[0]
     if isinstance(result, BlockadeError):

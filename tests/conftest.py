@@ -1,10 +1,9 @@
 """Shared pytest plumbing: the BLAS thread count and the acceptance-criteria summary block.
 
-NumPy's and SciPy's BLAS get one thread.  Test modules load NumPy at
-collection, after this file, so the band solves in this process run on one
-BLAS thread, and so do SuperLU's on the cells the band refuses, as
-``cli.main`` gives SciPy's BLAS in a fresh process.  Child processes inherit
-the setting.  A value set in the environment still wins.
+BLAS gets one thread.  Test modules load NumPy at collection, after this
+file, so the solves in this process run on one BLAS thread, as a fresh CLI
+process started through ``qdblockade.__main__`` does.  Child processes
+inherit the setting.  A value set in the environment still wins.
 
 Acceptance tests register one entry per criterion via record_criterion; the
 terminal summary then prints a single PASS/FAIL line for each, so the

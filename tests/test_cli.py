@@ -649,9 +649,7 @@ ENTRY_POINT_RUNS = {
 def test_entry_point_writes_what_main_writes(argv, code):
     # the entry point ends the process without interpreter teardown, after
     # delivering every byte main wrote, through a pipe, and main's exit code.
-    # main runs in a child that ends normally, not in this process: SciPy's BLAS
-    # may have loaded here with another thread count, which moves the last
-    # digits of a residual
+    # main runs in a child that ends normally, not in this process
     procs = [subprocess.run([sys.executable, *entry, *argv], capture_output=True, timeout=300,
                             env=child_env())
              for entry in (["-c", "import sys; from qdblockade.cli import main; sys.exit(main())"],
@@ -666,8 +664,8 @@ def test_entry_point_writes_what_main_writes(argv, code):
 
 
 def test_main_in_process_prints_what_a_child_prints(capsys):
-    # conftest gives SciPy's BLAS one thread before any test module loads SciPy,
-    # so main run here factors as a fresh CLI process does, to the residual's digits
+    # conftest gives BLAS one thread before any test module loads NumPy, so
+    # main run here factors as a fresh CLI process does, to the residual's digits
     argv, code = ENTRY_POINT_RUNS["ladder_sweep"]
     child = subprocess.run([sys.executable, "-m", "qdblockade", *argv], capture_output=True,
                            text=True, timeout=300, env=child_env())
@@ -808,6 +806,21 @@ def test_degenerate_point_at_top_cutoff_stays_small():
     # measured VmHWM 47,120-47,256 kB, refused before any solve (g = kappa = 0);
     # 83,908 kB when SuperLU factored it as singular
     assert peak_bytes < 200e6
+
+
+def test_rescued_point_at_top_cutoff_stays_small():
+    # the band refuses this drive; the QR rescue holds Q of every panel and the
+    # band widened to 7 blocks per block row
+    proc, peak_bytes = run_measuring_peak(["point", "--g", "20", "--E", "1e6", "--U", "0.05",
+                                           "--cutoff", "40", "--engines", "numeric"],
+                                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    _, rows = parse_csv(proc.stdout)
+    assert rows[0]["cutoff_used"] == "40"
+    assert float(rows[0]["residual"]) < 1e-9
+    # measured VmHWM 252,148-252,288 kB, in 1.7 s; 700,036 kB through the SuperLU
+    # rescue, in 33.7 s
+    assert peak_bytes < 350e6
 
 
 def test_numeric_map_does_not_depend_on_blas_threads():

@@ -3,12 +3,11 @@
 Importing the package loads no NumPy, and the CLI's entry point sets BLAS's
 thread count before NumPy loads.  A command imports only the engine it runs:
 a weak-drive sweep and ``optimum`` never load ``steady_state``, and the
-numeric commands never load ``analytic`` or ``numpy.polynomial``.  Only a
-cell with a finite generator that the band solver refuses needs SciPy, for
-SuperLU.  An import of the CLI, numeric runs whose cells the band solves, a
-numeric point whose generator overflows (refused before any solve), a
-weak-drive sweep, an ``optimum`` root search and a usage error load none of
-it.
+numeric commands never load ``analytic`` or ``numpy.polynomial``.  No run
+loads SciPy: an import of the CLI, numeric runs whose cells the band solves,
+a numeric point the band refuses and QR rescues, one whose generator
+overflows (refused before any solve), a weak-drive sweep, an ``optimum``
+root search and a usage error.
 """
 
 import subprocess
@@ -112,9 +111,11 @@ def test_weak_drive_runs_and_usage_errors_load_no_scipy(argv, exit_code):
       "--axis", "delta_a:4:40:13"], 0),
     (["sweep", "--delta", "0", "--g", "20", "--E", "1", "--U", "0.02", "--engines", "numeric",
       "--cutoff", "4", "--converge-tol", "1e-6", "--axis", "delta_a:-2:1.5:4"], 0),
-    # the generator overflows: refused before any solve, so SuperLU is not needed
+    # the band misses the residual bound at this drive, and the QR rescue meets it
+    (["point", "--E", "1e7", "--cutoff", "4", "--engines", "numeric"], 0),
+    # the generator overflows: refused before any solve
     (["point", "--E", "1e308", "--cutoff", "4", "--engines", "numeric"], 3),
-], ids=["point", "sweep2d", "compare", "ladder", "overflow"])
+], ids=["point", "sweep2d", "compare", "ladder", "rescued", "overflow"])
 def test_numeric_runs_load_no_scipy(argv, exit_code):
     code, modules = loaded_scipy(argv)
     assert code == exit_code
@@ -139,28 +140,3 @@ def test_a_command_imports_only_its_engine(argv, engine, other):
     assert code == 0
     assert f"qdblockade.{engine}" in modules
     assert not modules & other
-
-
-def test_rescued_cell_loads_the_sparse_solver():
-    # the band misses the residual bound at this drive, and SuperLU meets it
-    code, modules = loaded_scipy(["point", "--E", "1e7", "--cutoff", "4",
-                                  "--engines", "numeric"])
-    assert code == 0
-    assert "scipy.sparse.linalg" in modules
-
-
-@pytest.mark.parametrize("threads, printed", [(None, "1"), ("2", "2")])
-def test_cli_gives_scipys_blas_one_thread_unless_told(threads, printed):
-    # main sets the variables before a rescued cell loads SciPy's BLAS, so
-    # SuperLU reads the environment main leaves behind; NumPy's BLAS loaded
-    # before main ran
-    env = child_env()
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = threads
-    code = ("import os; from qdblockade.cli import main; code = main(); "
-            "print(code, os.environ.get('OPENBLAS_NUM_THREADS'))")
-    proc = subprocess.run([sys.executable, "-c", code, "point", "--E", "0.1", "--cutoff", "4",
-                           "--engines", "numeric"],
-                          capture_output=True, text=True, timeout=120, env=env)
-    assert proc.stdout.splitlines()[-1].split() == ["0", printed]

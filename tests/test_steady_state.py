@@ -113,16 +113,17 @@ def test_statistics_equal_dense_traces_on_random_states(cutoff):
 
 
 # an undamped cavity decoupled from the dot (g = kappa = 0) evolves unitarily, so it
-# has no unique steady state.  Both solvers factor it: SuperLU's solution misses the
-# gate at 2.4e-7, and the band's meets it (residual 3.3e-24, g2 = 4.97)
+# has no unique steady state.  Solvers factor it: the SuperLU rescue the QR one
+# replaced missed the gate at 2.4e-7, and the band meets it (residual 3.3e-24, g2 = 4.97)
 GATE_MISS = ModelParams(delta=8.484416434305949, delta_a=-4.332328215628659, g=0.0, E=0.0,
                         U=7.170094177168514e-08, kappa=0.0, gamma=1.9228401943813833)
 # a lossless system (kappa = gamma = 0) also evolves unitarily; this point solved
-# through SuperLU and read n_a = -4.22e4 (residual 9.3e-13) with no failure
+# through the SuperLU rescue and read n_a = -4.22e4 (residual 9.3e-13) with no failure
 LOSSLESS = ModelParams(delta=-16.646361291864366, delta_a=-26.721222971854402,
                        g=0.5065983447746402, U=0.0036673283981565785, kappa=0.0, gamma=0.0)
-# a well-posed drive so large that rounding misses the gate: 2.0e-9 at cutoff 4,
-# through SuperLU, since the band misses it too
+# a well-posed drive so large that rounding misses the gate: 3.7e-9 at cutoff 4
+# through the QR rescue (2.0e-9 through SuperLU before it), since the band misses
+# it too, while its entry scale 2 E eps = 1.3e-8 is far below 1
 LARGE_DRIVE = ModelParams(E=3e7)
 
 
@@ -172,32 +173,50 @@ def test_errors_survive_pickle():
         assert (type(back), str(back), vars(back)) == (type(exc), str(exc), vars(exc))
 
 
-# drives the band refuses on the residual bound, which SuperLU meets: kappa =
+# drives the band refuses on the residual bound, which the QR rescue meets: kappa =
 # gamma = 1, g = 20, U = 0.05 at cutoffs 4 and 10, and E = 1e7 with g = U = 0
 RESCUED = [(ModelParams(g=20.0, E=E, U=0.05), cutoff) for E in (1e5, 1e6) for cutoff in (4, 10)]
 RESCUED.append((ModelParams(E=1e7), 4))
 
 
-def test_band_refusals_are_solved_by_superlu(monkeypatch):
-    superlu = steady_state._superlu_solve
-    rescued = []
+def record_rescues(monkeypatch) -> list:
+    """Patch ``_qr_solve`` to record each cell it solves, as ``generator_cell`` names it."""
+    qr, rescued = steady_state._qr_solve, []
 
-    def record(params, space):
-        rescued.append((params, space.photon_cutoff))
-        return superlu(params, space)
+    def record(data, space):
+        rescued.extend((space.photon_cutoff, row.tobytes()) for row in data)
+        return qr(data, space)
 
-    monkeypatch.setattr(steady_state, "_superlu_solve", record)
+    monkeypatch.setattr(steady_state, "_qr_solve", record)
+    return rescued
+
+
+def generator_cell(params, cutoff):
+    space = HilbertSpace(cutoff)
+    data = model._generator_data(steady_state._band_system(space).values, [params])
+    return cutoff, data[0].tobytes()
+
+
+def test_band_refusals_are_rescued_by_qr(monkeypatch):
+    # each rescued rho is within 1e-8 of the dense pivoted LU's in the max norm
+    # (1.7e-9 at E = 1e7, where SuperLU's read 1.1e-9), and its g2 and n_a
+    # within 1e-12 (at most 8.9e-16)
+    rescued = record_rescues(monkeypatch)
     for params, cutoff in RESCUED:
-        res = solve_steady_state(params, HilbertSpace(cutoff))
-        vec, residual = superlu(params, HilbertSpace(cutoff))
-        assert np.array_equal(res.rho.ravel(order="F"), vec)  # vec(rho) stacks the columns
-        assert res.residual == residual
+        space = HilbertSpace(cutoff)
+        res = solve_steady_state(params, space)
+        dense = unvec(dense_steady_state(params, space))
+        assert np.abs(res.rho - dense).max() <= 1e-8 * np.abs(dense).max()
+        g2, n_a = steady_state._statistics(dense, space)
+        assert res.g2_zero == pytest.approx(g2, rel=1e-12)
+        assert res.n_a == pytest.approx(n_a, rel=1e-12)
         assert res.residual < 1e-9
-    assert rescued == RESCUED
+    assert rescued == [generator_cell(*cell) for cell in RESCUED]
     # in a batch beside a cell the band solves, only the refused cells are rescued
     rescued.clear()
     grid = steady_state_grid(4, g=20.0, E=[0.1, 1e5, 1e6], U=0.05)
-    assert set(rescued) == set(RESCUED[0:3:2])  # solved on two threads, in either order
+    # solved on two threads, in either order
+    assert sorted(rescued) == sorted(generator_cell(*cell) for cell in RESCUED[0:3:2])
     assert grid.failure.tolist() == [None] * 3
     assert grid.g2[0] == solve_steady_state(ModelParams(g=20.0, E=0.1, U=0.05),
                                             HilbertSpace(4)).g2_zero
@@ -208,14 +227,7 @@ def test_band_solves_strong_drives_within_its_reach(monkeypatch):
     # meets the gate with no rescue (residual 1.7e-12 at cutoff 4, 5.8e-13 at
     # 10).  Without the Hermitian projection of the middle blocks' solution,
     # rounding there grows through the back-substitution and misses the gate
-    superlu = steady_state._superlu_solve
-    rescued = []
-
-    def record(params, space):
-        rescued.append((params, space.photon_cutoff))
-        return superlu(params, space)
-
-    monkeypatch.setattr(steady_state, "_superlu_solve", record)
+    rescued = record_rescues(monkeypatch)
     for cutoff in (4, 10):
         res = solve_steady_state(ModelParams(g=20.0, E=1e4, U=0.05), HilbertSpace(cutoff))
         assert res.residual < 1e-9
@@ -225,8 +237,10 @@ def test_band_solves_strong_drives_within_its_reach(monkeypatch):
 @pytest.mark.parametrize("cutoff", [4, 8, 12])
 def test_band_solution_is_exactly_hermitian(cutoff):
     # rows d <= -2 are filled by the conjugate mirror of rows d >= 2, and the
-    # middle rows d = -1, 0, 1 are projected onto their Hermitian part
-    for p in SPECIAL_POINTS:
+    # middle rows d = -1, 0, 1 are projected onto their Hermitian part.  The
+    # drives of RESCUED are refused by the band at these cutoffs too, and the
+    # QR rescue projects its whole solution
+    for p in SPECIAL_POINTS + list(dict.fromkeys(p for p, _ in RESCUED)):
         rho = solve_steady_state(p, HilbertSpace(cutoff)).rho
         assert np.array_equal(rho, rho.conj().T)
 
@@ -278,8 +292,8 @@ def test_overflowing_drive_is_refused():
 
 @pytest.mark.parametrize("E", [1e40, 1e80, 1e300])
 def test_huge_drive_is_not_called_degenerate(E):
-    # these factor as exactly singular at cutoff 4, where max|L| * eps is 4.4e24 to
-    # 4.4e284: rounding exceeds every rate, so nothing shows a degenerate generator
+    # at cutoff 4 max|L| * eps is 4.4e24 to 4.4e284 here: rounding exceeds every
+    # rate, so neither a singular R nor a missed bound shows a degenerate generator
     with pytest.raises(SingularSystemError, match="entry magnitude 2.00e"):
         solve_steady_state(ModelParams(E=E), HilbertSpace(4))
 
