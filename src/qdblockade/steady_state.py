@@ -8,17 +8,19 @@ Ordered by d, L is block-pentadiagonal over 2N + 3 blocks of at most 4N + 2
 unknowns, and the trace row and every diagonal entry of rho lie in block
 d = 0.  L maps Hermitian matrices to Hermitian matrices, so T L T = conj(L)
 for T: vec(rho) -> vec(rho^T), which maps block d onto block -d, and the
-steady state is Hermitian.  The band is factored by block elimination in
-NumPy, for a batch of cells at a time, from both edges toward d = 0: only
-the d >= 2 side is eliminated, and the d <= -2 side is its conjugate
-mirror.  Solutions on d <= -2 are filled in the same way, and one step of
-iterative refinement follows.  The layout is computed once per cutoff and
-cached; each solve fills in the values.  A cell whose generator overflows
-is refused before any solve.  A finite cell the band refuses (a singular
-diagonal block, non-finite values or a missed residual bound) is solved
-again by block Householder QR of the full band, placed from the same layout,
-which alone solves very large drives.  One gate checks either solution.
-Neither solver densifies the generator, so memory stays bounded at every
+steady state is Hermitian.  Inside a solve every vector is held by place,
+its index in d order, and vec(rho) is formed once per solved cell.  The band
+is factored by block elimination in NumPy, for a batch of cells at a time,
+from both edges toward d = 0: only the d >= 2 side is eliminated, and the
+d <= -2 side is its conjugate mirror, as are solutions there.  The layout is
+computed once per cutoff and cached; each solve fills in the values.  A cell
+whose generator overflows is refused before any solve.  A finite cell the
+band refuses (a singular diagonal block, non-finite values or a missed
+residual bound) is solved again by block Householder QR of the full band,
+placed from the same layout, which alone solves very large drives.  One
+driver serves both: it projects each right-hand side and each solution onto
+its Hermitian part and takes one step of iterative refinement.  One gate
+checks either solution.  Neither solver densifies the generator, so memory stays bounded at every
 cutoff, and neither needs SciPy.
 The solved rho is exactly Hermitian by construction and is otherwise used
 as-is: no eigenvalue clamping, so the trace, positivity and residual checks
@@ -94,50 +96,49 @@ def _statistics(rho: np.ndarray, space: HilbertSpace) -> tuple[float, float]:
 
 
 class _Band(NamedTuple):
-    """Read-only layout of the trace-replaced system on one space, ordered by d.
+    """Read-only layout of the trace-replaced system on one space, by place.
 
-    The generator's entries are held row by row: ``values`` are the real blocks
-    of ``_generator_parts`` on them, ``cols`` their columns and ``row_starts``
-    the first entry of each row (no row is empty).  ``order`` lists the vec
-    index of each unknown, block by block from d = -N - 1 to N + 1, and
-    ``bounds`` holds where each block starts among the unknowns, then their
-    count.  ``mirror`` maps the place of each unknown rho[i, j] to that of
-    rho[j, i], in the block of -d.
+    The place of an unknown is its index in d order: block by block from d =
+    -N - 1 to N + 1, and in vec order within a block.  ``bounds`` holds where
+    each block starts, then the count of unknowns; ``rank`` maps each vec index
+    to its place, and ``mirror`` the place of each unknown rho[i, j] to that of
+    rho[j, i], in the block of -d.  ``trace`` is the place of row 0, which the
+    trace functional replaces, and ``diag`` the places of diag(rho) in vec order.
 
-    Only block rows d >= -1 are stored, and in them only the blocks of columns
-    d >= -1: one cell's band is a flat array of ``size`` entries, with block
-    (k, k + o) of the stored rows at ``blocks[k][o + 2]`` as (start, rows,
+    The generator's entries are held by row place, each row in vec column order:
+    ``values`` are the real blocks of ``_generator_parts`` on them, ``rows`` and
+    ``cols`` their places and ``row_starts`` the first entry of each row (no row
+    is empty).
+
+    The band stores only block rows d >= -1, and in them only the blocks of
+    columns d >= -1: one cell's band is a flat array of ``size`` entries, with
+    block (k, k + o) of the stored rows at ``blocks[k][o + 2]`` as (start, rows,
     cols), or None off the stored band.  The generator's entries ``src``, those
-    of rows d >= 0 but row 0, go to ``dest`` and the trace row's ones to
-    ``trace_dest``.  ``unfold`` gathers vec(rho) from the stored unknowns
-    followed by their conjugates.
+    of rows d >= 0 but the trace row, go to ``dest`` and the trace row's ones to
+    ``trace_dest``.
     """
 
     values: np.ndarray
+    rows: np.ndarray
     cols: np.ndarray
     row_starts: np.ndarray
-    order: np.ndarray
+    rank: np.ndarray
     mirror: np.ndarray
+    trace: int
+    diag: np.ndarray
     bounds: tuple[int, ...]
     blocks: tuple[tuple[tuple[int, int, int] | None, ...], ...]
     size: int
     src: np.ndarray
     dest: np.ndarray
     trace_dest: np.ndarray
-    unfold: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _band_system(space: HilbertSpace) -> _Band:
-    """The band layout of the trace-replaced system on ``space`` (6.0 MB at cutoff 40)."""
+    """The band layout of the trace-replaced system on ``space`` (6.6 MB at cutoff 40)."""
     gen_indices, gen_indptr, values = _generator_parts(space)
     dim, n2 = space.dim, space.dim * space.dim
-    rows = gen_indices.astype(np.intp)
-    cols = np.repeat(np.arange(n2), np.diff(gen_indptr))
-    by_row = np.lexsort((cols, rows))
-    rows, cols = rows[by_row], cols[by_row]
-    row_starts = np.searchsorted(rows, np.arange(n2))
-
     excitation = np.tile(np.arange(space.fock_dim), 2) + np.repeat([0, 1], space.fock_dim)
     vec = np.arange(n2)
     d = excitation[vec % dim] - excitation[vec // dim]  # vec(rho)[j dim + i] is rho[i, j]
@@ -145,15 +146,18 @@ def _band_system(space: HilbertSpace) -> _Band:
     rank = np.empty(n2, dtype=np.intp)
     rank[order] = vec
     mirror = rank[(order % dim) * dim + order // dim]
-    block = d - d.min()
-    sizes = np.bincount(block)
+    sizes = np.bincount(d - d.min())
     bounds = np.concatenate([[0], np.cumsum(sizes)])
+    # CSC lists the entries by vec column, and a stable sort keeps that order in a row
+    rows = rank[gen_indices]
+    by_row = np.argsort(rows, kind="stable")
+    rows, cols = rows[by_row], rank[np.repeat(vec, np.diff(gen_indptr))[by_row]]
 
     # the stored rows: blocks d = -1 .. N + 1, numbered from 0
     low = space.photon_cutoff
-    block -= low
+    block = np.repeat(np.arange(sizes.size), sizes) - low  # the stored block of each place
     sizes = sizes[low:]
-    pos = rank - bounds[low:][np.maximum(block, 0)]  # place of each stored unknown in its block
+    pos = vec - bounds[low:][np.maximum(block, 0)]  # place of each stored unknown in its block
     start, blocks = 0, []
     for k, rows_k in enumerate(sizes.tolist()):
         row = []
@@ -169,14 +173,11 @@ def _band_system(space: HilbertSpace) -> _Band:
     def place(r: np.ndarray, c: np.ndarray) -> np.ndarray:
         return first[block[r], block[c] - block[r] + 2] + pos[r] * sizes[block[c]] + pos[c]
 
-    src = np.flatnonzero((block[rows] >= 1) & (block[cols] >= 0))
-    src = src[src >= row_starts[1]]  # the trace row replaces row 0
-    trace = np.arange(dim) * (dim + 1)  # vec(I) has its ones at the diagonal of rho
-    stored = rank - bounds[low]
-    unfold = np.where(stored >= 0, stored, n2 - bounds[low] + mirror[rank] - bounds[low])
-    out = _Band(values[:, by_row], cols, row_starts, order, mirror, tuple(bounds.tolist()),
-                tuple(blocks), start, src, place(rows[src], cols[src]),
-                place(np.zeros(dim, dtype=np.intp), trace), unfold)
+    trace, diag = int(rank[0]), rank[np.arange(dim) * (dim + 1)]
+    src = np.flatnonzero((block[rows] >= 1) & (block[cols] >= 0) & (rows != trace))
+    out = _Band(values[:, by_row], rows, cols, np.searchsorted(rows, vec), rank, mirror, trace,
+                diag, tuple(bounds.tolist()), tuple(blocks), start, src,
+                place(rows[src], cols[src]), place(np.full(dim, trace), diag))
     for arr in out:
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
@@ -285,23 +286,40 @@ def _solve_band(blocks: list[list], bounds: tuple[int, ...], middle: tuple[np.nd
 
 
 def _apply(data: np.ndarray, x: np.ndarray, band: _Band) -> np.ndarray:
-    """L x for each cell, with ``data`` the generator's entries in row order."""
+    """L x by place for each cell, with ``data`` the generator's entries by place."""
     return np.add.reduceat(data * x[:, band.cols], band.row_starts, axis=1)
 
 
-def _refinement(data: np.ndarray, x: np.ndarray, band: _Band, space: HilbertSpace) -> np.ndarray:
-    """b - A x for each cell, the right-hand side of a refinement step: row 0 of A
-    is the trace, the rest that of L."""
-    r = -_apply(data, x, band)
-    # a strided row sums in another order when there are several rows: copy it first
-    r[:, 0] = 1.0 - np.ascontiguousarray(x[:, ::space.dim + 1]).sum(axis=1)
-    return r
+def _refined(factor, data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(x, ||L x||_inf) of each cell on ``space``, with x the solution of A x = b by
+    place and ``data`` the generator's entries by place, one cell a row.
+
+    ``factor(data, space)`` factors A, whose trace row is the trace and the rest
+    that of L, for every cell, and returns solve(y): A^-1 y by place for a
+    Hermitian y, which it may overwrite.  b, the trace row's 1, is Hermitian;
+    each solution and the residual of one step of iterative refinement are
+    projected onto their Hermitian part, so x is exactly Hermitian.
+    """
+    band = _band_system(space)
+    solve = factor(data, space)
+
+    def hermitian(y: np.ndarray) -> np.ndarray:
+        return (y + y[:, band.mirror].conj()) * 0.5
+
+    b = np.zeros((len(data), space.dim ** 2), dtype=complex)
+    b[:, band.trace] = 1.0
+    x = hermitian(solve(b))
+    r = -_apply(data, x, band)  # b - A x
+    # a gathered array sums in another order when it has several rows: copy it first
+    r[:, band.trace] = 1.0 - np.ascontiguousarray(x[:, band.diag]).sum(axis=1)
+    x += hermitian(solve(hermitian(r)))
+    return x, np.abs(_apply(data, x, band)).max(axis=1)
 
 
-def _band_solve(data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(vec(rho), ||L vec(rho)||_inf) of each cell on ``space``, whose generator
-    entries, in row order, are the rows of ``data``; LinAlgError if a diagonal
-    block of any cell is singular.  Each cell's bits are independent of the others."""
+def _band_solve(data: np.ndarray, space: HilbertSpace):
+    """``_refined``'s factor by block elimination on the d band; LinAlgError if a
+    diagonal block of any cell is singular.  Each cell's bits are independent of
+    the others."""
     band, cells = _band_system(space), len(data)
     flat = np.zeros((cells, band.size), dtype=complex)
     flat[:, band.dest] = data[:, band.src]
@@ -312,45 +330,38 @@ def _band_solve(data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, np.n
     bounds = tuple(b - low for b in band.bounds[space.photon_cutoff:])
     middle = _middle(band.bounds, band.mirror)
     _factor_band(blocks, middle)
-    y = np.zeros((cells, bounds[-1]), dtype=complex)
-    y[:, band.unfold[0]] = 1.0  # b, the trace row's 1
-    _solve_band(blocks, bounds, middle, y)
-    x = np.concatenate([y, y.conj()], axis=1)[:, band.unfold]
-    r = _refinement(data, x, band, space)
-    # x is Hermitian, so the anti-Hermitian part of r is rounding: solve for the rest
-    y = (r[:, band.order[low:]] + r[:, band.order[band.mirror[low:]]].conj()) * 0.5
-    _solve_band(blocks, bounds, middle, y)
-    x += np.concatenate([y, y.conj()], axis=1)[:, band.unfold]
-    return x, np.abs(_apply(data, x, band)).max(axis=1)
+    below = band.mirror[:low] - low  # the stored mirror of each place d <= -2
+
+    def solve(y: np.ndarray) -> np.ndarray:
+        y = y[:, low:].copy()
+        _solve_band(blocks, bounds, middle, y)
+        return np.concatenate([y[:, below].conj(), y], axis=1)
+
+    return solve
 
 
-def _qr_solve(data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_band_solve`'s result by block Householder QR of the full d band;
-    LinAlgError if a diagonal block of R of any cell is singular.
+def _qr_solve(data: np.ndarray, space: HilbertSpace):
+    """``_refined``'s factor by block Householder QR of the full d band; LinAlgError
+    if a diagonal block of R of any cell is singular.
 
     Block column k is reduced by the QR of block rows k .. k + 2, and Q^H is
     applied to them over block columns k .. k + 4: the upper band widens from 2
-    blocks to 4, as LAPACK's gbtrf widens ku to kl + ku.  R is back-substituted,
-    one step of refinement follows, and the solution is projected onto its
-    Hermitian part.
+    blocks to 4, as LAPACK's gbtrf widens ku to kl + ku.  R is back-substituted.
     """
-    band, cells, n2 = _band_system(space), len(data), space.dim ** 2
+    band, cells = _band_system(space), len(data)
     bounds, nb = np.array(band.bounds), len(band.bounds) - 1
     sizes = np.diff(bounds)
     lo = bounds[np.maximum(np.arange(nb) - 2, 0)]  # block row k is held over block
     width = bounds[np.minimum(np.arange(nb) + 5, nb)] - lo  # columns k - 2 .. k + 4
     start = np.append(0, np.cumsum(sizes * width))
-    rank = np.empty(n2, dtype=np.intp)
-    rank[band.order] = np.arange(n2)
-    # the generator's rows but row 0, then the trace row, by place
-    rows = rank[np.repeat(np.arange(n2), np.diff(np.append(band.row_starts, data.shape[1])))]
-    rows = np.append(rows[band.row_starts[1]:], np.full(space.dim, rank[0]))
-    cols = rank[np.append(band.cols[band.row_starts[1]:], np.arange(space.dim) * (space.dim + 1))]
-    at = np.searchsorted(bounds, rows, side="right") - 1  # the block row of each entry
+    at = np.searchsorted(bounds, band.rows, side="right") - 1  # the block row of each entry
     flat = np.zeros((cells, start[-1]), dtype=complex)
-    flat[:, start[at] + (rows - bounds[at]) * width[at] + cols - lo[at]] = np.append(
-        data[:, band.row_starts[1]:], np.ones((cells, space.dim)), axis=1)
+    flat[:, start[at] + (band.rows - bounds[at]) * width[at] + band.cols - lo[at]] = data
     held = [flat[:, start[k]:start[k + 1]].reshape(cells, sizes[k], width[k]) for k in range(nb)]
+    c = nb // 2  # the block of d = 0, which holds the trace row and diag(rho)
+    trace = held[c][:, band.trace - bounds[c]]
+    trace[...] = 0.0
+    trace[:, band.diag - lo[c]] = 1.0
 
     qh, inv = [], []  # Q^H of each panel, the inverse of each diagonal block of R
     for k in range(nb):
@@ -365,7 +376,7 @@ def _qr_solve(data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, np.nda
                 slab[:, bounds[i] - bounds[k]:bounds[i + 1] - bounds[k]]
         inv.append(np.linalg.inv(r[:, :sizes[k]]))
 
-    def solve(y: np.ndarray) -> None:  # y <- A^-1 y, by place
+    def solve(y: np.ndarray) -> np.ndarray:
         for k in range(nb):
             part = y[:, bounds[k]:bounds[min(k + 3, nb)], np.newaxis]
             part[...] = qh[k] @ part
@@ -374,33 +385,24 @@ def _qr_solve(data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, np.nda
             part = y[:, bounds[k]:bounds[k + 1], np.newaxis]
             part[...] = inv[k] @ (part - held[k][:, :, right.start - lo[k]:right.stop - lo[k]]
                                   @ y[:, right, np.newaxis])
+        return y
 
-    def hermitian(y: np.ndarray) -> np.ndarray:  # by place, to vec(rho)
-        return ((y + y[:, band.mirror].conj()) * 0.5)[:, rank]
-
-    y = np.zeros((cells, n2), dtype=complex)
-    y[:, rank[0]] = 1.0  # b, the trace row's 1
-    solve(y)
-    x = hermitian(y)
-    y = _refinement(data, x, band, space)[:, band.order]
-    solve(y)
-    x = hermitian(x[:, band.order] + y)
-    return x, np.abs(_apply(data, x, band)).max(axis=1)
+    return solve
 
 
-def _each(solve, data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, ...]:
-    """``solve(data, space)`` for all cells at once, or cell by cell if it raises
-    LinAlgError: (vec(rho), residual, singular) per cell, with nan and True in
-    a cell whose own solve raised it."""
+def _each(factor, data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, ...]:
+    """``_refined(factor, data, space)`` for all cells at once, or cell by cell if
+    it raises LinAlgError: (x, residual, singular) per cell, with nan and True
+    in a cell whose own solve raised it."""
     x = np.full((len(data), space.dim ** 2), math.nan, dtype=complex)
     residual = np.full(len(data), math.nan)
     singular = np.zeros(len(data), dtype=bool)
     try:
-        x[:], residual[:] = solve(data, space)
+        x[:], residual[:] = _refined(factor, data, space)
     except np.linalg.LinAlgError:
         for c in range(len(data)):
             try:
-                x[c:c + 1], residual[c:c + 1] = solve(data[c:c + 1], space)
+                x[c:c + 1], residual[c:c + 1] = _refined(factor, data[c:c + 1], space)
             except np.linalg.LinAlgError:
                 singular[c] = True
     return x, residual, singular
@@ -423,12 +425,13 @@ def _solve_batch(params: list[ModelParams], space: HilbertSpace) -> list[SteadyS
             out[i] = DegenerateSteadyStateError(_DEGENERATE)
         else:
             cells.append(i)
-    data = _generator_data(_band_system(space).values, [params[i] for i in cells])
+    band = _band_system(space)
+    data = _generator_data(band.values, [params[i] for i in cells])
     finite = np.isfinite(data).all(axis=1)
 
-    def gate(c: int, vec: np.ndarray, res: float,
+    def gate(c: int, x: np.ndarray, res: float,
              singular: bool) -> SteadyStateResult | BlockadeError:
-        if singular or (res > RESIDUAL_TOL and np.isfinite(vec).all()):
+        if singular or (res > RESIDUAL_TOL and np.isfinite(x).all()):
             scale = float(np.max(np.abs(data[c])))
             if scale * np.finfo(float).eps >= 1:
                 return SingularSystemError(
@@ -436,19 +439,20 @@ def _solve_batch(params: list[ModelParams], space: HilbertSpace) -> list[SteadyS
                     "exceeds 1, the unit of every rate; degeneracy cannot be told")
             if singular:
                 return DegenerateSteadyStateError(_DEGENERATE)
-        if not (math.isfinite(res) and np.isfinite(vec).all()):
+        if not (math.isfinite(res) and np.isfinite(x).all()):
             return SingularSystemError("steady state overflows float64")
         if res > RESIDUAL_TOL:
             return SteadyStateResidualError(res, RESIDUAL_TOL)
-        rho = vec.reshape((space.dim, space.dim), order="F")  # undo the column stacking
+        # vec(rho) from the places, then undo the column stacking
+        rho = x[band.rank].reshape((space.dim, space.dim), order="F")
         return SteadyStateResult(rho, *_statistics(rho, space), space.photon_cutoff, res)
 
     # the band solves the finite cells, and QR solves those it refused again, together
     todo = np.flatnonzero(finite)
-    for solve in (_band_solve, _qr_solve):
+    for factor in (_band_solve, _qr_solve):
         if len(todo):
-            for c, vec, res, singular in zip(todo, *_each(solve, data[todo], space)):
-                out[cells[c]] = gate(c, vec, float(res), singular)
+            for c, x, res, singular in zip(todo, *_each(factor, data[todo], space)):
+                out[cells[c]] = gate(c, x, float(res), singular)
             todo = [c for c in todo if isinstance(out[cells[c]], BlockadeError)]
     for c in np.flatnonzero(~finite).tolist():  # refused before any solve
         out[cells[c]] = SingularSystemError(
@@ -468,10 +472,11 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
     part, the rows d <= -2 of the solution are the mirror of rows d >= 2, so
     rho is exactly Hermitian, and one step of iterative refinement on the
     residual's Hermitian part follows.  The solution must be finite and meet
-    ||L vec(rho)||_inf <= 1e-9 on the unpermuted L.  A cell the band refuses, on
-    a singular diagonal block, non-finite values or a missed bound, is solved
-    again by block Householder QR of the full band (``_qr_solve``), whose
-    solution is projected onto its Hermitian part too, and that solve decides.
+    ||L vec(rho)||_inf <= 1e-9, each row of L summed in vec column order.  A
+    cell the band refuses, on a singular diagonal block, non-finite values or a
+    missed bound, is solved again by block Householder QR of the full band
+    (``_qr_solve``), with the same projections and refinement step, and that
+    solve decides.
     With kappa = gamma = 1, g = 20 and U = 0.05 the band misses the bound from
     E = 1e5 at cutoffs 4 and 10, and QR meets it up to E = 1e7.
 

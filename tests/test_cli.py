@@ -772,9 +772,7 @@ def test_point_at_top_cutoff_stays_small():
     _, rows = parse_csv(proc.stdout)
     assert rows[0]["cutoff_used"] == "40"
     assert float(rows[0]["residual"]) < 1e-9
-    # measured VmHWM 86,016-86,096 kB with the mirrored band (its band is 31.2 MB);
-    # 112,736-112,844 kB with the one-sided band (58.7 MB), 117,744 kB with
-    # SuperLU, 135,020 kB before SuperLU's ordering was cached
+    # measured VmHWM 86,016-86,096 kB (the band is 31.2 MB)
     assert peak_bytes < 200e6
 
 
@@ -787,10 +785,7 @@ def test_sweep_at_top_cutoff_grows_by_one_factorization_per_worker():
     _, rows = parse_csv(proc.stdout)
     assert [row["status"] for row in rows] == ["ok"] * 6
     # min(6, CPUs) workers share the 6 cells, one at a time.  With 2 workers: measured
-    # VmHWM 123,092-123,244 kB with the mirrored band, 175,328-175,520 kB with the
-    # one-sided band; with SuperLU 162,772-164,264 kB
-    # (162,264-163,316 kB when cell 0 was solved alone first), against
-    # 118,984-119,196 kB when the cells were solved one after another
+    # VmHWM 123,092-123,244 kB
     workers = min(6, len(os.sched_getaffinity(0)))
     assert peak_bytes < 140e6 + 60e6 * (workers - 1)
 
@@ -803,8 +798,7 @@ def test_degenerate_point_at_top_cutoff_stays_small():
                                            "--engines", "numeric"], timeout=300)
     assert proc.returncode == 3
     assert "no unique trace-one steady state" in proc.stderr
-    # measured VmHWM 47,120-47,256 kB, refused before any solve (g = kappa = 0);
-    # 83,908 kB when SuperLU factored it as singular
+    # measured VmHWM 47,120-47,256 kB, refused before any solve (g = kappa = 0)
     assert peak_bytes < 200e6
 
 
@@ -818,8 +812,7 @@ def test_rescued_point_at_top_cutoff_stays_small():
     _, rows = parse_csv(proc.stdout)
     assert rows[0]["cutoff_used"] == "40"
     assert float(rows[0]["residual"]) < 1e-9
-    # measured VmHWM 252,148-252,288 kB, in 1.7 s; 700,036 kB through the SuperLU
-    # rescue, in 33.7 s
+    # measured VmHWM 252,148-252,288 kB, in 1.7 s
     assert peak_bytes < 350e6
 
 

@@ -113,17 +113,17 @@ def test_statistics_equal_dense_traces_on_random_states(cutoff):
 
 
 # an undamped cavity decoupled from the dot (g = kappa = 0) evolves unitarily, so it
-# has no unique steady state.  Solvers factor it: the SuperLU rescue the QR one
-# replaced missed the gate at 2.4e-7, and the band meets it (residual 3.3e-24, g2 = 4.97)
+# has no unique steady state.  The band finds a singular block, and the QR rescue
+# meets the gate on it at cutoff 12 (residual 3.2e-30, g2 = 3.3e7)
 GATE_MISS = ModelParams(delta=8.484416434305949, delta_a=-4.332328215628659, g=0.0, E=0.0,
                         U=7.170094177168514e-08, kappa=0.0, gamma=1.9228401943813833)
-# a lossless system (kappa = gamma = 0) also evolves unitarily; this point solved
-# through the SuperLU rescue and read n_a = -4.22e4 (residual 9.3e-13) with no failure
+# a lossless system (kappa = gamma = 0) also evolves unitarily; at cutoff 6 the QR
+# rescue meets the gate on this point too (residual 8.7e-19, n_a = 0.159)
 LOSSLESS = ModelParams(delta=-16.646361291864366, delta_a=-26.721222971854402,
                        g=0.5065983447746402, U=0.0036673283981565785, kappa=0.0, gamma=0.0)
 # a well-posed drive so large that rounding misses the gate: 3.7e-9 at cutoff 4
-# through the QR rescue (2.0e-9 through SuperLU before it), since the band misses
-# it too, while its entry scale 2 E eps = 1.3e-8 is far below 1
+# through the QR rescue, since the band misses it too, while its entry scale
+# 2 E eps = 1.3e-8 is far below 1
 LARGE_DRIVE = ModelParams(E=3e7)
 
 
@@ -199,8 +199,7 @@ def generator_cell(params, cutoff):
 
 def test_band_refusals_are_rescued_by_qr(monkeypatch):
     # each rescued rho is within 1e-8 of the dense pivoted LU's in the max norm
-    # (1.7e-9 at E = 1e7, where SuperLU's read 1.1e-9), and its g2 and n_a
-    # within 1e-12 (at most 8.9e-16)
+    # (1.7e-9 at E = 1e7), and its g2 and n_a within 1e-12 (at most 4.4e-16)
     rescued = record_rescues(monkeypatch)
     for params, cutoff in RESCUED:
         space = HilbertSpace(cutoff)
@@ -220,6 +219,59 @@ def test_band_refusals_are_rescued_by_qr(monkeypatch):
     assert grid.failure.tolist() == [None] * 3
     assert grid.g2[0] == solve_steady_state(ModelParams(g=20.0, E=0.1, U=0.05),
                                             HilbertSpace(4)).g2_zero
+
+
+def paper_cells(rng, n):
+    return [ModelParams(delta=rng.uniform(-60, 60), delta_a=rng.uniform(-60, 60),
+                        g=rng.uniform(0, 20), E=rng.uniform(0, 2), U=rng.uniform(0, 0.05),
+                        kappa=rng.uniform(0.5, 2.0), gamma=rng.uniform(0.5, 2.0))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("cutoff", [4, 10])
+def test_qr_agrees_with_the_band_on_ordinary_cells(cutoff):
+    # no ordinary cell reaches the rescue, so both solvers solve 20 of them here:
+    # rho agrees to 1e-13 relative in the max norm (measured 2.0e-16 at cutoff 4,
+    # 4.5e-16 at 10), g2 and n_a to 1e-11 (5.2e-15, 6.1e-14)
+    space = HilbertSpace(cutoff)
+    band = steady_state._band_system(space)
+    data = model._generator_data(band.values, paper_cells(np.random.default_rng(5000 + cutoff),
+                                                          20))
+    (by_band, band_res), (by_qr, qr_res) = [
+        steady_state._refined(factor, data, space)
+        for factor in (steady_state._band_solve, steady_state._qr_solve)]
+    assert (band_res < 1e-9).all() and (qr_res < 1e-9).all()
+    for x, y in zip(by_band, by_qr):
+        assert np.abs(y - x).max() <= 1e-13 * np.abs(x).max()
+        want, got = (steady_state._statistics(v[band.rank].reshape(space.dim, space.dim,
+                                                                   order="F"), space)
+                     for v in (x, y))
+        assert got == pytest.approx(want, rel=1e-11, nan_ok=True)
+
+
+@pytest.mark.parametrize("cutoff", [4, 10, 20])
+def test_residual_by_place_is_that_of_the_unpermuted_generator(cutoff):
+    # the oracle sums L x in vec order, rows in vec order and each row in vec
+    # column order; _apply sums each row in that order by place, so the band's
+    # residuals and refinement steps keep their bits, alone or in a batch
+    space = HilbertSpace(cutoff)
+    n2 = space.dim ** 2
+    indices, indptr, values = model._generator_parts(space)
+    rows = indices.astype(np.intp)
+    cols = np.repeat(np.arange(n2), np.diff(indptr))
+    by_row = np.lexsort((cols, rows))
+    row_starts = np.searchsorted(rows[by_row], np.arange(n2))
+    rng = np.random.default_rng(6000 + cutoff)
+    params = paper_cells(rng, 5)
+    x = rng.normal(size=(5, n2)) + 1j * rng.normal(size=(5, n2))
+    want = np.add.reduceat(model._generator_data(values[:, by_row], params)
+                           * x[:, cols[by_row]], row_starts, axis=1)
+    band = steady_state._band_system(space)
+    data, by_place = model._generator_data(band.values, params), x[:, np.argsort(band.rank)]
+    assert np.array_equal(steady_state._apply(data, by_place, band)[:, band.rank], want)
+    for c in range(5):
+        got = steady_state._apply(data[c:c + 1], by_place[c:c + 1], band)
+        assert np.array_equal(got[:, band.rank], want[c:c + 1])
 
 
 def test_band_solves_strong_drives_within_its_reach(monkeypatch):
@@ -261,19 +313,14 @@ def test_generator_commutes_with_the_transpose_up_to_conjugation(cutoff):
 
     at = np.searchsorted(keys, transpose(cols) * n2 + transpose(rows))
     assert np.array_equal(keys[at], transpose(cols) * n2 + transpose(rows))
-    rng = np.random.default_rng(3000 + cutoff)
-    params = [ModelParams(delta=rng.uniform(-60, 60), delta_a=rng.uniform(-60, 60),
-                          g=rng.uniform(0, 20), E=rng.uniform(0, 2), U=rng.uniform(0, 0.05),
-                          kappa=rng.uniform(0.5, 2.0), gamma=rng.uniform(0.5, 2.0))
-              for _ in range(5)]
-    data = model._generator_data(values, params)
+    data = model._generator_data(values, paper_cells(np.random.default_rng(3000 + cutoff), 5))
     assert np.array_equal(data[:, at], data.conj())
 
     # the band's mirror is T on its places: an involution mapping block d onto block -d
     band = steady_state._band_system(space)
     places = np.arange(n2)
     assert np.array_equal(band.mirror[band.mirror], places)
-    assert np.array_equal(band.order[band.mirror], transpose(band.order))
+    assert np.array_equal(band.mirror[band.rank], band.rank[transpose(places)])
     bounds = band.bounds
     nb = len(bounds) - 1
     for k in range(nb):
