@@ -31,13 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "HilbertSpace",
@@ -98,20 +93,18 @@ class ModelParams:
             raise ValueError("g, E, U must be nonnegative")
 
 
-def build_liouvillian(params: ModelParams, space: HilbertSpace) -> sp.csc_array:
-    """Sparse generator L (CSC) with d vec(rho)/dt = L vec(rho).
+def build_liouvillian(params: ModelParams,
+                      space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The generator L with d vec(rho)/dt = L vec(rho) as a COO triplet ``(rows,
+    cols, data)`` of its dim^2 x dim^2 entries, in column-major order.
 
     L = -i (I (x) H - H^T (x) I) + (kappa/2) D[a] + (gamma/2) D[s-], with D[o]
     the superoperator of 2 o rho o' - o'o rho - rho o'o, entry for entry equal
     to the dense Kronecker sums.  vec(I) is a left null vector (the trace is
     preserved).  Parameters that overflow float64 leave inf or nan entries.
     """
-    import scipy.sparse as sp  # deferred: no solve loads SciPy
-
-    indices, indptr, values = _generator_parts(space)
-    data = _generator_data(values, [params])[0]
-    n2 = space.dim * space.dim
-    return sp.csc_array((data, indices, indptr), shape=(n2, n2))
+    rows, cols, values = _generator_parts(space)
+    return rows, cols, _generator_data(values, [params])[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -136,15 +129,6 @@ def _generator_data(values: np.ndarray, params: list[ModelParams]) -> np.ndarray
     return data
 
 
-def _csc_pattern(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """int32 CSC ``(indices, indptr)`` of an n x n pattern given as its sorted,
-    distinct keys ``col * n + row``, which is column-major order."""
-    cols, rows = np.divmod(keys, n)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    return rows.astype(np.int32), indptr
-
-
 def _kron(left: tuple, right: tuple, n: int) -> tuple:
     """Kronecker product of two ``(rows, cols, values)`` triplets of n x n matrices:
     the outer product of their nonzeros."""
@@ -163,12 +147,11 @@ def _dot(left: tuple, right: tuple, n: int) -> tuple:
     return left[0][hit], right[1][k[hit]], left[2][hit] * right[2][k[hit]]
 
 
-@lru_cache(maxsize=None)
 def _generator_parts(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only CSC ``(indices, indptr)`` shared by every generator on ``space``,
-    and on it the real values of D[a], D[s-] and Im(-i[H_k, .]) for the blocks
-    H_k = s+s-, a'a, s+a + s-a', a + a', a^2 + a'^2 that delta .. U weigh in H,
-    one row each (4.5 MB at cutoff 40).
+    """The ``(rows, cols)`` of every generator's entries on ``space``, in
+    column-major order, and on them the real values of D[a], D[s-] and
+    Im(-i[H_k, .]) for the blocks H_k = s+s-, a'a, s+a + s-a', a + a', a^2 + a'^2
+    that delta .. U weigh in H, one row each.
 
     Every block is a short sum of Kronecker products of the identity and of
     ladder products, each held as a ``(rows, cols, values)`` triplet, and its
@@ -211,7 +194,5 @@ def _generator_parts(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.nd
     for b, coef, (_, _, v) in terms:  # a term has no repeated entry
         values[b, at[start:start + v.size]] += coef * v
         start += v.size
-    indices, indptr = _csc_pattern(union, n2)
-    for arr in (indices, indptr, values):
-        arr.flags.writeable = False
-    return indices, indptr, values
+    cols, rows = np.divmod(union, n2)  # the keys col * n2 + row are column-major
+    return rows, cols, values

@@ -20,8 +20,8 @@ residual bound) is solved again by block Householder QR of the full band,
 placed from the same layout, which alone solves very large drives.  One
 driver serves both: it projects each right-hand side and each solution onto
 its Hermitian part and takes one step of iterative refinement.  One gate
-checks either solution.  Neither solver densifies the generator, so memory stays bounded at every
-cutoff, and neither needs SciPy.
+checks either solution.  Neither solver densifies the generator, so memory
+stays bounded at every cutoff, and the package needs only NumPy.
 The solved rho is exactly Hermitian by construction and is otherwise used
 as-is: no eigenvalue clamping, so the trace, positivity and residual checks
 in tests measure the solver rather than a cosmetic cleanup.
@@ -105,10 +105,10 @@ class _Band(NamedTuple):
     rho[j, i], in the block of -d.  ``trace`` is the place of row 0, which the
     trace functional replaces, and ``diag`` the places of diag(rho) in vec order.
 
-    The generator's entries are held by row place, each row in vec column order:
-    ``values`` are the real blocks of ``_generator_parts`` on them, ``rows`` and
-    ``cols`` their places and ``row_starts`` the first entry of each row (no row
-    is empty).
+    The generator's entries are held by row place, each row in vec column order,
+    as a stable sort by row of the column-major entries of ``_generator_parts``
+    leaves them: ``values`` are its real blocks on them, ``rows`` and ``cols``
+    their places and ``row_starts`` the first entry of each row (no row is empty).
 
     The band stores only block rows d >= -1, and in them only the blocks of
     columns d >= -1: one cell's band is a flat array of ``size`` entries, with
@@ -137,7 +137,7 @@ class _Band(NamedTuple):
 @lru_cache(maxsize=None)
 def _band_system(space: HilbertSpace) -> _Band:
     """The band layout of the trace-replaced system on ``space`` (6.6 MB at cutoff 40)."""
-    gen_indices, gen_indptr, values = _generator_parts(space)
+    gen_rows, gen_cols, values = _generator_parts(space)
     dim, n2 = space.dim, space.dim * space.dim
     excitation = np.tile(np.arange(space.fock_dim), 2) + np.repeat([0, 1], space.fock_dim)
     vec = np.arange(n2)
@@ -148,10 +148,10 @@ def _band_system(space: HilbertSpace) -> _Band:
     mirror = rank[(order % dim) * dim + order // dim]
     sizes = np.bincount(d - d.min())
     bounds = np.concatenate([[0], np.cumsum(sizes)])
-    # CSC lists the entries by vec column, and a stable sort keeps that order in a row
-    rows = rank[gen_indices]
+    # the entries come in vec column order, and a stable sort keeps that order in a row
+    rows = rank[gen_rows]
     by_row = np.argsort(rows, kind="stable")
-    rows, cols = rows[by_row], rank[np.repeat(vec, np.diff(gen_indptr))[by_row]]
+    rows, cols = rows[by_row], rank[gen_cols[by_row]]
 
     # the stored rows: blocks d = -1 .. N + 1, numbered from 0
     low = space.photon_cutoff
@@ -482,10 +482,11 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
 
     Failures fall in four classes, decided by the entry scale max|L| * eps:
 
-    - DegenerateSteadyStateError: g = kappa = 0, where a decoupled lossless cavity
-      has no unique steady state, refused before any solve; or a singular
-      diagonal block of R below entry scale 1, as when L has no unique
-      trace-one null vector (A is then exactly singular).
+    - DegenerateSteadyStateError: kappa = 0 with g = 0 or gamma = 0, where a
+      lossless cavity, decoupled from the dot or coupled to a lossless dot,
+      evolves unitarily and has no unique steady state, refused before any
+      solve; or a singular diagonal block of R below entry scale 1, as when L
+      has no unique trace-one null vector (A is then exactly singular).
     - SingularSystemError, entry magnitude: a singular block of R, or a finite
       miss of the bound, at entry scale 1 or more, where rounding exceeds a
       unit rate and degeneracy cannot be told.
@@ -548,7 +549,7 @@ def steady_state_grid(cutoff: int, rel_tol: float | None = None,
     holds, and the threads take them from one queue; any other exception stops
     them after their current batch and is raised.  A cell's result does not
     depend on its batch or thread.  The calling thread fills a rung's
-    per-cutoff caches, then waits on the batches.  Set
+    per-cutoff cache, then waits on the batches.  Set
     ``OPENBLAS_NUM_THREADS=1`` before NumPy loads, as the CLI's entry point
     does: with BLAS threads inside each solve the threads oversubscribe the
     CPUs.
@@ -573,7 +574,7 @@ def steady_state_grid(cutoff: int, rel_tol: float | None = None,
                 else:
                     rung.g2[j], rung.n_a[j], rung.residual[j] = res.g2_zero, res.n_a, res.residual
 
-        # as many bands as fit in _BATCH_BYTES; this fills the cutoff's caches
+        # as many bands as fit in _BATCH_BYTES; this fills the cutoff's cache
         per_batch = max(1, _BATCH_BYTES // (16 * _band_system(space).size))
         workers = min(cells.size, cpus)  # the ladder calls no rung without open cells
         rounds = -(-cells.size // (per_batch * workers))

@@ -1,5 +1,5 @@
 """Dense Liouvillian and dense LU steady state, kept as an oracle for the sparse solver,
-and the generator's CSC arrays built in sparse Kronecker algebra.
+and the generator's COO arrays built in sparse Kronecker algebra.
 
 Every operator of the dense oracle comes from the explicit matrices of
 :mod:`fock_helpers` and every n^2 x n^2 block is a dense ndarray built with
@@ -57,10 +57,10 @@ def dense_steady_state(params: ModelParams, space: HilbertSpace) -> np.ndarray:
 def kron_generator_parts(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``model._generator_parts`` built from ``scipy.sparse`` Kronecker products.
 
-    The CSC ``(indices, indptr)`` of the union of the seven blocks D[a], D[s-]
-    and Im(-i[H_k, .]) (H_k = s+s-, a'a, s+a + s-a', a + a', a^2 + a'^2), and
-    each block's real values on it.  SciPy's binops drop an entry that cancels
-    to exactly 0 from its block.
+    The ``(rows, cols)`` of the union of the seven blocks D[a], D[s-] and
+    Im(-i[H_k, .]) (H_k = s+s-, a'a, s+a + s-a', a + a', a^2 + a'^2), in CSC's
+    column-major order, and each block's real values on it.  SciPy's binops
+    drop an entry that cancels to exactly 0 from its block.
     """
     eye = sp.eye_array(space.dim, format="csr")
     a = sp.kron(sp.eye_array(2), sp.diags_array(np.sqrt(np.arange(1.0, space.fock_dim)),
@@ -74,4 +74,5 @@ def kron_generator_parts(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, n
     union = sum(abs(b) for b in blocks).tocsc()
     # b + i union has an entry wherever any block does, and b as its exact real part
     values = np.array([(b + 1j * union).tocsc().data.real for b in blocks])
-    return union.indices, union.indptr, values
+    cols = np.repeat(np.arange(union.shape[1]), np.diff(union.indptr))
+    return union.indices, cols, values

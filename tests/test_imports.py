@@ -7,7 +7,8 @@ numeric commands never load ``analytic`` or ``numpy.polynomial``.  No run
 loads SciPy: an import of the CLI, numeric runs whose cells the band solves,
 a numeric point the band refuses and QR rescues, one whose generator
 overflows (refused before any solve), a weak-drive sweep, an ``optimum``
-root search and a usage error.
+root search, a usage error, and ``build_liouvillian`` and a numeric point
+where SciPy cannot be imported.
 """
 
 import subprocess
@@ -88,6 +89,22 @@ def test_importing_the_cli_loads_no_scipy():
         capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == ""
+
+
+def test_the_package_runs_where_scipy_cannot_be_imported():
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    code = ("import sys; sys.modules['scipy'] = None; import qdblockade; "
+            "from qdblockade import HilbertSpace, ModelParams, build_liouvillian; "
+            "from qdblockade.cli import main; "
+            "rows, cols, data = build_liouvillian(ModelParams(E=0.1), HilbertSpace(4)); "
+            "print(data.size); "
+            "sys.exit(main(['point', '--E', '0.1', '--cutoff', '4', '--engines', 'numeric']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    size, header, row = proc.stdout.splitlines()
+    assert int(size) > 0
+    assert header.startswith("g2_numeric,") and row
 
 
 @pytest.mark.parametrize("argv, exit_code", [

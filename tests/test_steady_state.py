@@ -256,9 +256,7 @@ def test_residual_by_place_is_that_of_the_unpermuted_generator(cutoff):
     # residuals and refinement steps keep their bits, alone or in a batch
     space = HilbertSpace(cutoff)
     n2 = space.dim ** 2
-    indices, indptr, values = model._generator_parts(space)
-    rows = indices.astype(np.intp)
-    cols = np.repeat(np.arange(n2), np.diff(indptr))
+    rows, cols, values = model._generator_parts(space)
     by_row = np.lexsort((cols, rows))
     row_starts = np.searchsorted(rows[by_row], np.arange(n2))
     rng = np.random.default_rng(6000 + cutoff)
@@ -303,10 +301,8 @@ def test_generator_commutes_with_the_transpose_up_to_conjugation(cutoff):
     # Hermitian matrices to Hermitian matrices, and the band's mirror rests on it
     space = HilbertSpace(cutoff)
     dim, n2 = space.dim, space.dim ** 2
-    indices, indptr, values = model._generator_parts(space)
-    rows = indices.astype(np.intp)
-    cols = np.repeat(np.arange(n2), np.diff(indptr))
-    keys = cols * n2 + rows  # sorted: CSC is column-major
+    rows, cols, values = model._generator_parts(space)
+    keys = cols * n2 + rows  # sorted: the entries are in column-major order
 
     def transpose(v):  # vec(rho)[j dim + i] is rho[i, j]
         return (v % dim) * dim + v // dim
@@ -518,8 +514,7 @@ def test_grid_matches_per_point_solves(monkeypatch):
             # no cell meets it, so every solved cell climbs to the top rung, lowered
             # to 12 to keep the test short, and fails there
             monkeypatch.setattr(steady_state, "MAX_CUTOFF", 12)
-        # empty caches, so that the grid fills those of cutoffs 8-20 itself
-        model._generator_parts.cache_clear()
+        # an empty cache, so that the grid fills that of cutoffs 8-20 itself
         steady_state._band_system.cache_clear()
         grid = steady_state_grid(4, rel_tol, **fields)
         # g2, n_a, cutoff_used, residual as a plain loop of solves fills them
@@ -555,9 +550,8 @@ def test_grid_matches_per_point_solves(monkeypatch):
 
 
 def test_each_cutoff_fills_its_caches_once():
-    # every rung fills its caches on the calling thread before its threads start,
-    # so no two threads fill one cutoff's caches side by side
-    model._generator_parts.cache_clear()
+    # every rung fills its cache on the calling thread before its threads start,
+    # so no two threads fill one cutoff's cache side by side
     steady_state._band_system.cache_clear()
     history = []
     grid = steady_state_grid(4, 1e-6, history, delta=[0.0, -20.0, 0.0, 1.0, 0.0],
@@ -568,12 +562,11 @@ def test_each_cutoff_fills_its_caches_once():
     # each rung holds the cells it solved: all five up to 8, then the strong three
     assert [(h.cutoff_used.tolist(), h.g2.size) for h in history] == [
         ([4] * 5, 5), ([8] * 5, 5), ([12] * 3, 3), ([16] * 3, 3), ([20] * 3, 3)]
-    assert model._generator_parts.cache_info().misses == len(history)
     assert steady_state._band_system.cache_info().misses == len(history)
 
 
 def test_rung_cells_are_solved_by_the_workers(monkeypatch):
-    # the calling thread fills a rung's caches and solves no cell, not even
+    # the calling thread fills a rung's cache and solves no cell, not even
     # the one cell of a one-cell rung; every rung's batches go to one pool
     solve = steady_state._solve_batch
     threads, pools = [], set()
