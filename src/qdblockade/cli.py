@@ -289,7 +289,8 @@ def _numeric(args, fields: dict) -> tuple:
     grid = steady_state_grid(args.cutoff, args.converge_tol, **fields)
     status = np.zeros(grid.failure.shape, dtype=np.intp)
     failed = grid.failure != None  # noqa: E711 (elementwise)
-    # one class test per failed cell, which cost at least one solve each
+    # one class test per failed cell: most cost a solve, far more than the test,
+    # but degenerate and overflowing cells are refused before any solve
     status[failed] = [_status(exc) for exc in grid.failure[failed].tolist()]
     return (*grid, status)
 

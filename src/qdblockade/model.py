@@ -29,7 +29,6 @@ H^T (x) I.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,16 +80,20 @@ class ModelParams:
     gamma: float = 1.0      # dot decay rate (the unit)
 
     def __post_init__(self) -> None:
-        # one sum is cheaper than seven tests; it is finite when every field is
-        if not math.isfinite(self.delta + self.delta_a + self.g + self.E + self.U
-                             + self.kappa + self.gamma):
-            bad = [k for k, v in vars(self).items() if not math.isfinite(v)]
-            if bad:
-                raise ValueError(f"parameters must be finite: {', '.join(bad)}")
-        if self.kappa < 0 or self.gamma < 0:
-            raise ValueError("decay rates kappa, gamma must be nonnegative")
-        if self.g < 0 or self.E < 0 or self.U < 0:
-            raise ValueError("g, E, U must be nonnegative")
+        _check_fields(**vars(self))
+
+
+def _check_fields(delta, delta_a, g, E, U, kappa, gamma) -> None:
+    """Raise ValueError unless every field is finite, and kappa, gamma, g, E and U
+    are nonnegative: each field a number or an array, checked in every cell."""
+    fields = dict(delta=delta, delta_a=delta_a, g=g, E=E, U=U, kappa=kappa, gamma=gamma)
+    bad = [k for k, v in fields.items() if not np.isfinite(v).all()]
+    if bad:
+        raise ValueError(f"parameters must be finite: {', '.join(bad)}")
+    if np.any(kappa < 0) or np.any(gamma < 0):
+        raise ValueError("decay rates kappa, gamma must be nonnegative")
+    if np.any(g < 0) or np.any(E < 0) or np.any(U < 0):
+        raise ValueError("g, E, U must be nonnegative")
 
 
 def build_liouvillian(params: ModelParams,
@@ -104,14 +107,14 @@ def build_liouvillian(params: ModelParams,
     preserved).  Parameters that overflow float64 leave inf or nan entries.
     """
     rows, cols, values = _generator_parts(space)
-    return rows, cols, _generator_data(values, [params])[0]
+    return rows, cols, _generator_data(values, np.array([[*vars(params).values()]], dtype=float))[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _generator_data(values: np.ndarray, params: list[ModelParams]) -> np.ndarray:
-    """The generator's entries for each of ``params``, one row each, on the
-    entries of ``values``: the seven real blocks of ``_generator_parts``, its
-    entries in any order.
+def _generator_data(values: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """The generator's entries for each row of ``fields``, a (cells, 7) array of the
+    fields of :class:`ModelParams` in order, on the entries of ``values``: the
+    seven real blocks of ``_generator_parts``, its entries in any order.
 
     Each entry is the same sum of products whichever cells share the call.  A
     weight that is 0 in every cell is skipped; one that is 0 in some adds 0 * k,
@@ -119,9 +122,8 @@ def _generator_data(values: np.ndarray, params: list[ModelParams]) -> np.ndarray
     imaginary part is ever -0.0.
     """
     loss, decay, *commutators = values
-    fields = np.array([list(vars(p).values()) for p in params]).reshape(-1, 7)
     *weights, kappa, gamma = fields.T[:, :, np.newaxis]  # each (cells, 1)
-    data = np.zeros((len(params), loss.size), dtype=complex)
+    data = np.zeros((len(fields), loss.size), dtype=complex)
     data.real = 0.5 * kappa * loss + 0.5 * gamma * decay
     for w, k in zip(weights, commutators):
         if w.any():

@@ -9,19 +9,21 @@ unknowns, and the trace row and every diagonal entry of rho lie in block
 d = 0.  L maps Hermitian matrices to Hermitian matrices, so T L T = conj(L)
 for T: vec(rho) -> vec(rho^T), which maps block d onto block -d, and the
 steady state is Hermitian.  Inside a solve every vector is held by place,
-its index in d order, and vec(rho) is formed once per solved cell.  The band
-is factored by block elimination in NumPy, for a batch of cells at a time,
-from both edges toward d = 0: only the d >= 2 side is eliminated, and the
-d <= -2 side is its conjugate mirror, as are solutions there.  The layout is
-computed once per cutoff and cached; each solve fills in the values.  A cell
-whose generator overflows is refused before any solve.  A finite cell the
-band refuses (a singular diagonal block, non-finite values or a missed
-residual bound) is solved again by block Householder QR of the full band,
-placed from the same layout, which alone solves very large drives.  One
-driver serves both: it projects each right-hand side and each solution onto
-its Hermitian part and takes one step of iterative refinement.  One gate
-checks either solution.  Neither solver densifies the generator, so memory
-stays bounded at every cutoff, and the package needs only NumPy.
+its index in d order: a batch of cells goes in as an array of their fields
+and comes out as their solutions by place, and only ``solve_steady_state``
+forms vec(rho) from them.  The band is factored by block elimination in
+NumPy, for a batch of cells at a time, from both edges toward d = 0: only the
+d >= 2 side is eliminated, and the d <= -2 side is its conjugate mirror, as
+are solutions there.  The layout is computed once per cutoff and cached; each
+solve fills in the values.  A degenerate cell, or one whose generator
+overflows, is refused before any solve.  A finite cell the band refuses (a
+singular diagonal block, non-finite values or a missed residual bound) is
+solved again by block Householder QR of the full band, placed from the same
+layout, which alone solves very large drives.  One driver serves both: it
+projects each right-hand side and each solution onto its Hermitian part and
+takes one step of iterative refinement.  One gate checks either solution.
+Neither solver densifies the generator, so memory stays bounded at every
+cutoff, and the package needs only NumPy.
 The solved rho is exactly Hermitian by construction and is otherwise used
 as-is: no eigenvalue clamping, so the trace, positivity and residual checks
 in tests measure the solver rather than a cosmetic cleanup.
@@ -35,9 +37,9 @@ cutoff ladder whose rungs solve only the points not yet settled.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -54,6 +56,7 @@ from .model import (
     MAX_CUTOFF,
     HilbertSpace,
     ModelParams,
+    _check_fields,
     _generator_data,
     _generator_parts,
 )
@@ -75,8 +78,12 @@ _BATCH_BYTES = 8 << 20
 _DEGENERATE = "trace-replaced Liouvillian is singular; no unique trace-one steady state"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SteadyStateResult:
+    """The steady state of one cell, as :func:`solve_steady_state` returns it: rho in
+    the dot-major basis, exactly Hermitian; g2(0), nan where n_a is below the dark
+    floor; n_a = <a'a>; the cutoff solved at; and ||L vec(rho)||_inf."""
+
     rho: np.ndarray
     g2_zero: float
     n_a: float
@@ -84,15 +91,19 @@ class SteadyStateResult:
     residual: float
 
 
-def _statistics(rho: np.ndarray, space: HilbertSpace) -> tuple[float, float]:
-    """(g2(0), n_a) from P(n); g2 is nan when n_a is below the dark floor."""
-    # the dot-major ordering makes diag(rho) a (dot, n) array
-    p = np.diagonal(rho).real.reshape(2, space.fock_dim).sum(axis=0)
+def _statistics(diag: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(g2(0), n_a) from P(n) of each diag(rho) in ``diag``, of shape (..., dim), in
+    the leading shape (numbers for one diag(rho)); g2 is nan where n_a is below the
+    dark floor or nan."""
+    # the dot-major ordering makes diag(rho) a (dot, n) array.  Each weight is one
+    # dot per cell on a contiguous row: a batched product, or a strided row, may
+    # sum in another order and move the last bit
+    p = np.ascontiguousarray(diag.real.reshape(-1, 2, space.fock_dim).sum(axis=1))
     n = np.arange(space.fock_dim)
-    n_a = float(n @ p)
-    if n_a < _DARK_FLOOR:
-        return math.nan, n_a
-    return float((n * (n - 1)) @ p) / (n_a * n_a), n_a
+    n_a = np.array([n @ row for row in p])
+    pairs = np.array([(n * (n - 1)) @ row for row in p])
+    g2 = np.divide(pairs, n_a * n_a, out=np.full(n_a.shape, math.nan), where=n_a >= _DARK_FLOOR)
+    return g2.reshape(diag.shape[:-1])[()], n_a.reshape(diag.shape[:-1])[()]
 
 
 class _Band(NamedTuple):
@@ -390,74 +401,68 @@ def _qr_solve(data: np.ndarray, space: HilbertSpace):
     return solve
 
 
-def _each(factor, data: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, ...]:
-    """``_refined(factor, data, space)`` for all cells at once, or cell by cell if
-    it raises LinAlgError: (x, residual, singular) per cell, with nan and True
-    in a cell whose own solve raised it."""
-    x = np.full((len(data), space.dim ** 2), math.nan, dtype=complex)
-    residual = np.full(len(data), math.nan)
-    singular = np.zeros(len(data), dtype=bool)
-    try:
-        x[:], residual[:] = _refined(factor, data, space)
-    except np.linalg.LinAlgError:
-        for c in range(len(data)):
-            try:
-                x[c:c + 1], residual[c:c + 1] = _refined(factor, data[c:c + 1], space)
-            except np.linalg.LinAlgError:
-                singular[c] = True
-    return x, residual, singular
-
-
 # overflow leaves inf or nan, which the gate refuses
 @np.errstate(over="ignore", invalid="ignore")
-def _solve_batch(params: list[ModelParams], space: HilbertSpace) -> list[SteadyStateResult |
-                                                                        BlockadeError]:
-    """The steady state of each of ``params`` on ``space``, or the BlockadeError that
-    refuses it, as :func:`solve_steady_state` gives it: the band solves the cells
-    together, QR solves the finite cells the band refused together again, and
-    one gate checks either solution and decides the refused cells' class."""
-    out: list = [None] * len(params)
+def _solve_batch(fields: np.ndarray, space: HilbertSpace) -> tuple[np.ndarray, ...]:
+    """The steady state of each row of ``fields``, a (cells, 7) array of the fields
+    of :class:`ModelParams` in order, on ``space``, as :func:`solve_steady_state`
+    gives it: (x, residual, failure), with x each cell's solution by place,
+    residual its ||L x||_inf, both nan where the cell failed, and failure None or
+    the BlockadeError that refuses it.  The band solves the cells together, QR
+    solves the finite cells the band refused together again, and one gate checks
+    either solution and decides the class of the cells it refuses."""
+    cells, band = len(fields), _band_system(space)
+    x = np.full((cells, space.dim ** 2), math.nan, dtype=complex)
+    residual = np.full(cells, math.nan)
+    singular = np.zeros(cells, dtype=bool)
+    failure = np.full(cells, None, dtype=object)
+    _, _, g, _, _, kappa, gamma = fields.T
     # a lossless cavity that is decoupled from the dot, or coupled to a lossless
     # dot, evolves unitarily, so every function of its Hamiltonian is stationary
-    cells = []
-    for i, p in enumerate(params):
-        if p.kappa == 0.0 and (p.g == 0.0 or p.gamma == 0.0):
-            out[i] = DegenerateSteadyStateError(_DEGENERATE)
-        else:
-            cells.append(i)
-    band = _band_system(space)
-    data = _generator_data(band.values, [params[i] for i in cells])
+    degenerate = (kappa == 0) & ((g == 0) | (gamma == 0))
+    failure[degenerate] = DegenerateSteadyStateError(_DEGENERATE)
+    data = _generator_data(band.values, fields)
     finite = np.isfinite(data).all(axis=1)
+    failure[~finite & ~degenerate] = SingularSystemError(  # refused before any solve
+        "Liouvillian has non-finite entries (parameters overflow)")
 
-    def gate(c: int, x: np.ndarray, res: float,
-             singular: bool) -> SteadyStateResult | BlockadeError:
-        if singular or (res > RESIDUAL_TOL and np.isfinite(x).all()):
+    # the band solves the finite cells, and QR those the gate refused, together, or
+    # cell by cell if that raises LinAlgError: a cell whose own solve raises it is singular
+    todo = np.flatnonzero(finite & ~degenerate)
+    for factor in (_band_solve, _qr_solve):
+        if todo.size:
+            singular[todo] = False
+            try:
+                x[todo], residual[todo] = _refined(factor, data[todo], space)
+            except np.linalg.LinAlgError:
+                for c in todo.tolist():
+                    try:
+                        x[c:c + 1], residual[c:c + 1] = _refined(factor, data[c:c + 1], space)
+                    except np.linalg.LinAlgError:
+                        singular[c] = True
+            passed = (~singular[todo] & (residual[todo] <= RESIDUAL_TOL)
+                      & np.isfinite(x[todo]).all(axis=1))
+            todo = todo[~passed]
+
+    def refusal(c: int) -> BlockadeError:
+        """The class of a cell the gate refused, from its last solve."""
+        res = float(residual[c])
+        if singular[c] or (res > RESIDUAL_TOL and np.isfinite(x[c]).all()):
             scale = float(np.max(np.abs(data[c])))
             if scale * np.finfo(float).eps >= 1:
                 return SingularSystemError(
                     f"steady state unresolved at entry magnitude {scale:.2e}, where rounding "
                     "exceeds 1, the unit of every rate; degeneracy cannot be told")
-            if singular:
+            if singular[c]:
                 return DegenerateSteadyStateError(_DEGENERATE)
-        if not (math.isfinite(res) and np.isfinite(x).all()):
+        if not (math.isfinite(res) and np.isfinite(x[c]).all()):
             return SingularSystemError("steady state overflows float64")
-        if res > RESIDUAL_TOL:
-            return SteadyStateResidualError(res, RESIDUAL_TOL)
-        # vec(rho) from the places, then undo the column stacking
-        rho = x[band.rank].reshape((space.dim, space.dim), order="F")
-        return SteadyStateResult(rho, *_statistics(rho, space), space.photon_cutoff, res)
+        return SteadyStateResidualError(res, RESIDUAL_TOL)
 
-    # the band solves the finite cells, and QR solves those it refused again, together
-    todo = np.flatnonzero(finite)
-    for factor in (_band_solve, _qr_solve):
-        if len(todo):
-            for c, x, res, singular in zip(todo, *_each(factor, data[todo], space)):
-                out[cells[c]] = gate(c, x, float(res), singular)
-            todo = [c for c in todo if isinstance(out[cells[c]], BlockadeError)]
-    for c in np.flatnonzero(~finite).tolist():  # refused before any solve
-        out[cells[c]] = SingularSystemError(
-            "Liouvillian has non-finite entries (parameters overflow)")
-    return out
+    for c in todo.tolist():
+        failure[c] = refusal(c)
+    x[todo], residual[todo] = math.nan, math.nan
+    return x, residual, failure
 
 
 def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateResult:
@@ -499,10 +504,13 @@ def solve_steady_state(params: ModelParams, space: HilbertSpace) -> SteadyStateR
     3e7 up miss the residual bound, and from E = 2.3e15, where the entry scale
     2 E eps reaches 1, they read as entry magnitude instead.
     """
-    result = _solve_batch([params], space)[0]
-    if isinstance(result, BlockadeError):
-        raise result
-    return result
+    x, residual, failure = _solve_batch(np.array([[*vars(params).values()]], dtype=float), space)
+    if failure[0] is not None:
+        raise failure[0]
+    # vec(rho) from the places, then undo the column stacking
+    rho = x[0, _band_system(space).rank].reshape((space.dim, space.dim), order="F")
+    g2, n_a = _statistics(np.diagonal(rho), space)
+    return SteadyStateResult(rho, float(g2), float(n_a), space.photon_cutoff, float(residual[0]))
 
 
 def _rel_change(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -541,7 +549,8 @@ def steady_state_grid(cutoff: int, rel_tol: float | None = None,
     ``rel_tol`` relative to the rung below (dark cells, whose g2 is nan, settle on
     n_a).  A cell not settled by MAX_CUTOFF fails with CutoffConvergenceError.
     Pass ``history`` to receive each rung's results, 1-D over the cells that rung
-    solved in C order.
+    solved in C order.  The fields are checked as :class:`ModelParams` checks
+    them, in every cell at once: an invalid one raises ValueError before any solve.
 
     Cells are solved by one pool of threads, one per CPU the process may use,
     that serves every rung.  A rung splits its cells into as many batches for
@@ -556,26 +565,24 @@ def steady_state_grid(cutoff: int, rel_tol: float | None = None,
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    fields = {**vars(ModelParams()), **fields}
+    fields = {**{f.name: f.default for f in dataclasses.fields(ModelParams)}, **fields}
     arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in fields.values()))
+    _check_fields(**dict(zip(fields, arrays)))
     out = _unsolved(arrays[0].shape, cutoff)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
     def solve_rung(cells: np.ndarray, cutoff: int) -> SteadyStateGrid:
         rung, space = _unsolved(cells.shape, cutoff), HilbertSpace(cutoff)
+        band = _band_system(space)  # this fills the cutoff's cache
 
         def solve(batch: np.ndarray) -> None:
-            params = [ModelParams(**{name: float(a.flat[i]) for name, a in zip(fields, arrays)})
-                      for i in cells[batch].tolist()]
-            for j, res in zip(batch.tolist(), _solve_batch(params, space)):
-                if isinstance(res, BlockadeError):
-                    rung.failure[j] = res
-                else:
-                    rung.g2[j], rung.n_a[j], rung.residual[j] = res.g2_zero, res.n_a, res.residual
+            fields = np.stack([a.flat[cells[batch]] for a in arrays], axis=1)
+            x, rung.residual[batch], rung.failure[batch] = _solve_batch(fields, space)
+            rung.g2[batch], rung.n_a[batch] = _statistics(x[:, band.diag], space)
 
-        # as many bands as fit in _BATCH_BYTES; this fills the cutoff's cache
-        per_batch = max(1, _BATCH_BYTES // (16 * _band_system(space).size))
+        # as many bands as fit in _BATCH_BYTES
+        per_batch = max(1, _BATCH_BYTES // (16 * band.size))
         workers = min(cells.size, cpus)  # the ladder calls no rung without open cells
         rounds = -(-cells.size // (per_batch * workers))
         list(pool.map(solve, np.array_split(np.arange(cells.size),

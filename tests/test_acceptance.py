@@ -42,8 +42,7 @@ class _InvariantLog:
         self.max_residual = 0.0
         self._lock = threading.Lock()  # the grid's cells solve on worker threads
 
-    def add(self, result):
-        rho = result.rho
+    def add(self, rho, residual):
         herm = 0.5 * (rho + rho.conj().T)
         with self._lock:
             self.count += 1
@@ -52,8 +51,7 @@ class _InvariantLog:
                 self.max_herm_defect, float(np.max(np.abs(rho - rho.conj().T))))
             self.min_eigenvalue = min(
                 self.min_eigenvalue, float(np.linalg.eigvalsh(herm)[0]))
-            self.max_residual = max(self.max_residual, result.residual)
-        return result
+            self.max_residual = max(self.max_residual, residual)
 
 
 INVARIANTS = _InvariantLog()
@@ -63,12 +61,13 @@ def _logged_grid(**fields):
     """steady_state_grid at SPACE's cutoff over REF with ``fields`` replaced, solves logged."""
     solve, seen = steady_state._solve_batch, INVARIANTS.count
 
-    def solve_and_log(params, space):
-        results = solve(params, space)
-        for result in results:
-            if isinstance(result, steady_state.SteadyStateResult):
-                INVARIANTS.add(result)
-        return results
+    def solve_and_log(fields, space):
+        x, residual, failure = solve(fields, space)
+        rank = steady_state._band_system(space).rank
+        for c in np.flatnonzero(failure == None):  # noqa: E711 (elementwise)
+            # vec(rho) from the places, then undo the column stacking
+            INVARIANTS.add(x[c, rank].reshape((space.dim, space.dim), order="F"), residual[c])
+        return x, residual, failure
 
     # the fixtures are module-scoped, so the function-scoped monkeypatch is out of reach
     with pytest.MonkeyPatch.context() as patch:

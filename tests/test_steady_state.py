@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,11 @@ from fock_helpers import (
 )
 
 REF = ModelParams(delta=-20.0, delta_a=-20.0, g=20.0, E=0.1, U=0.0005)
+
+
+def fields_of(params):
+    """The (cells, 7) field array of a list of ModelParams, as the batch solve takes it."""
+    return np.array([[*vars(p).values()] for p in params])
 
 
 def outer(v):
@@ -76,8 +82,9 @@ def test_g2_of_fock_states():
     space = HilbertSpace(6)
     one = outer(basis_state(space, 0, 1))
     two = outer(basis_state(space, 0, 2))
-    assert steady_state._statistics(one, space) == pytest.approx((0.0, 1.0), abs=1e-12)
-    assert steady_state._statistics(two, space) == pytest.approx((0.5, 2.0), rel=1e-12)
+    statistics = steady_state._statistics
+    assert statistics(np.diagonal(one), space) == pytest.approx((0.0, 1.0), abs=1e-12)
+    assert statistics(np.diagonal(two), space) == pytest.approx((0.5, 2.0), rel=1e-12)
 
 
 def test_g2_of_truncated_coherent_state():
@@ -86,7 +93,7 @@ def test_g2_of_truncated_coherent_state():
     state = np.kron(np.array([1.0, 0.0]), fock)
     state /= np.linalg.norm(state)
     rho = outer(state)
-    g2, n_a = steady_state._statistics(rho, space)
+    g2, n_a = steady_state._statistics(np.diagonal(rho), space)
     assert abs(g2 - 1.0) < 1e-6
     assert n_a == pytest.approx(0.04, rel=1e-6)
 
@@ -104,7 +111,8 @@ def test_statistics_equal_dense_traces_on_random_states(cutoff):
         rho /= np.trace(rho)
         n_a = np.trace(rho @ number_op(space)).real
         g2 = np.trace(rho @ pair_op).real / n_a**2
-        assert steady_state._statistics(rho, space) == pytest.approx((g2, n_a), rel=1e-12)
+        assert steady_state._statistics(np.diagonal(rho), space) == pytest.approx((g2, n_a),
+                                                                                 rel=1e-12)
     # a solved state goes through the same statistics
     res = solve_steady_state(REF, space)
     n_a = np.trace(res.rho @ number_op(space)).real
@@ -193,7 +201,7 @@ def record_rescues(monkeypatch) -> list:
 
 def generator_cell(params, cutoff):
     space = HilbertSpace(cutoff)
-    data = model._generator_data(steady_state._band_system(space).values, [params])
+    data = model._generator_data(steady_state._band_system(space).values, fields_of([params]))
     return cutoff, data[0].tobytes()
 
 
@@ -206,7 +214,7 @@ def test_band_refusals_are_rescued_by_qr(monkeypatch):
         res = solve_steady_state(params, space)
         dense = unvec(dense_steady_state(params, space))
         assert np.abs(res.rho - dense).max() <= 1e-8 * np.abs(dense).max()
-        g2, n_a = steady_state._statistics(dense, space)
+        g2, n_a = steady_state._statistics(np.diagonal(dense), space)
         assert res.g2_zero == pytest.approx(g2, rel=1e-12)
         assert res.n_a == pytest.approx(n_a, rel=1e-12)
         assert res.residual < 1e-9
@@ -228,6 +236,34 @@ def paper_cells(rng, n):
             for _ in range(n)]
 
 
+@pytest.mark.parametrize("cutoff", [5, 10])
+def test_a_batch_keeps_each_cells_one_cell_bits(monkeypatch, cutoff):
+    # one batch of twelve paper cells and a cell the band refuses and QR
+    # rescues, on one thread: each cell's g2, n_a and residual are those of its
+    # own solve.  The statistics take one dot per cell on a contiguous P(n); a
+    # batched product, or a strided row, sums in another order and moves bits
+    rescued = record_rescues(monkeypatch)
+    batches = []
+    solve = steady_state._solve_batch
+
+    def solve_and_record(fields, space):
+        batches.append(len(fields))
+        return solve(fields, space)
+
+    monkeypatch.setattr(steady_state, "_solve_batch", solve_and_record)
+    monkeypatch.setattr(steady_state, "os", SimpleNamespace(sched_getaffinity=lambda pid: {0}))
+    monkeypatch.setattr(steady_state, "_BATCH_BYTES", 1 << 30)
+    params = [ModelParams(g=20.0, E=1e5, U=0.05)] + paper_cells(
+        np.random.default_rng(7000 + cutoff), 12)
+    fields = fields_of(params)
+    grid = steady_state_grid(cutoff, **dict(zip(vars(REF), fields.T)))
+    assert batches == [13] and rescued == [generator_cell(params[0], cutoff)]
+    assert grid.failure.tolist() == [None] * 13
+    one = [solve_steady_state(p, HilbertSpace(cutoff)) for p in params]
+    for got, name in zip(grid[:4], ("g2_zero", "n_a", "cutoff_used", "residual")):
+        assert np.array_equal(got, [getattr(res, name) for res in one], equal_nan=True)
+
+
 @pytest.mark.parametrize("cutoff", [4, 10])
 def test_qr_agrees_with_the_band_on_ordinary_cells(cutoff):
     # no ordinary cell reaches the rescue, so both solvers solve 20 of them here:
@@ -235,17 +271,15 @@ def test_qr_agrees_with_the_band_on_ordinary_cells(cutoff):
     # 4.5e-16 at 10), g2 and n_a to 1e-11 (5.2e-15, 6.1e-14)
     space = HilbertSpace(cutoff)
     band = steady_state._band_system(space)
-    data = model._generator_data(band.values, paper_cells(np.random.default_rng(5000 + cutoff),
-                                                          20))
+    data = model._generator_data(
+        band.values, fields_of(paper_cells(np.random.default_rng(5000 + cutoff), 20)))
     (by_band, band_res), (by_qr, qr_res) = [
         steady_state._refined(factor, data, space)
         for factor in (steady_state._band_solve, steady_state._qr_solve)]
     assert (band_res < 1e-9).all() and (qr_res < 1e-9).all()
     for x, y in zip(by_band, by_qr):
         assert np.abs(y - x).max() <= 1e-13 * np.abs(x).max()
-        want, got = (steady_state._statistics(v[band.rank].reshape(space.dim, space.dim,
-                                                                   order="F"), space)
-                     for v in (x, y))
+        want, got = (steady_state._statistics(v[band.diag], space) for v in (x, y))
         assert got == pytest.approx(want, rel=1e-11, nan_ok=True)
 
 
@@ -262,10 +296,11 @@ def test_residual_by_place_is_that_of_the_unpermuted_generator(cutoff):
     rng = np.random.default_rng(6000 + cutoff)
     params = paper_cells(rng, 5)
     x = rng.normal(size=(5, n2)) + 1j * rng.normal(size=(5, n2))
-    want = np.add.reduceat(model._generator_data(values[:, by_row], params)
+    want = np.add.reduceat(model._generator_data(values[:, by_row], fields_of(params))
                            * x[:, cols[by_row]], row_starts, axis=1)
     band = steady_state._band_system(space)
-    data, by_place = model._generator_data(band.values, params), x[:, np.argsort(band.rank)]
+    data = model._generator_data(band.values, fields_of(params))
+    by_place = x[:, np.argsort(band.rank)]
     assert np.array_equal(steady_state._apply(data, by_place, band)[:, band.rank], want)
     for c in range(5):
         got = steady_state._apply(data[c:c + 1], by_place[c:c + 1], band)
@@ -309,7 +344,8 @@ def test_generator_commutes_with_the_transpose_up_to_conjugation(cutoff):
 
     at = np.searchsorted(keys, transpose(cols) * n2 + transpose(rows))
     assert np.array_equal(keys[at], transpose(cols) * n2 + transpose(rows))
-    data = model._generator_data(values, paper_cells(np.random.default_rng(3000 + cutoff), 5))
+    data = model._generator_data(values,
+                                 fields_of(paper_cells(np.random.default_rng(3000 + cutoff), 5)))
     assert np.array_equal(data[:, at], data.conj())
 
     # the band's mirror is T on its places: an involution mapping block d onto block -d
@@ -376,7 +412,8 @@ def test_sparse_solve_matches_dense_oracle(cutoff):
         for _ in range(10)]
     for p in random_points + SPECIAL_POINTS:
         res = solve_steady_state(p, space)
-        g2, n_a = steady_state._statistics(unvec(dense_steady_state(p, space)), space)
+        g2, n_a = steady_state._statistics(np.diagonal(unvec(dense_steady_state(p, space))),
+                                           space)
         assert res.n_a == pytest.approx(n_a, rel=1e-10)
         assert res.g2_zero == pytest.approx(g2, rel=1e-10, nan_ok=True)
 
@@ -585,31 +622,40 @@ def test_rung_cells_are_solved_by_the_workers(monkeypatch):
     assert len(pools) == 1 and pools.pop().startswith("ThreadPoolExecutor-")
 
 
-@pytest.mark.parametrize("g, error", [
-    ([20.0, -1.0] + [20.0] * 398, ValueError),  # ModelParams refuses cell 1 in a worker
-    (20.0, KeyboardInterrupt),  # a Ctrl-C reaches the caller during cell 9's batch
+@pytest.mark.parametrize("fields, error, message", [
+    # invalid fields are refused in every cell before any solve
+    pytest.param(dict(g=[20.0, -1.0] + [20.0] * 398), ValueError, "g, E, U must be nonnegative",
+                 id="g0-ValueError"),
+    pytest.param(dict(delta=[0.0, math.nan] + [0.0] * 398, g=20.0), ValueError,
+                 "parameters must be finite: delta$", id="nan_delta-ValueError"),
+    # a Ctrl-C reaches the caller during cell 9's batch
+    pytest.param(dict(g=20.0), KeyboardInterrupt, None, id="20.0-KeyboardInterrupt"),
 ])
-def test_an_error_stops_the_grid(monkeypatch, g, error):
-    # the grid raises what a loop over the cells raises, once every thread has
-    # ended its current batch, instead of solving the cells left.  Batches of
-    # two cells: at cutoff 4, _BATCH_BYTES would put all 400 in a few batches
+def test_an_error_stops_the_grid(monkeypatch, fields, error, message):
+    # the grid raises what a loop over the cells raises: an invalid field before
+    # any batch, and a Ctrl-C once every thread has ended its current batch,
+    # instead of solving the cells left.  Batches of two cells: at cutoff 4,
+    # _BATCH_BYTES would put all 400 in a few batches
     main_thread = threading.main_thread().ident
     solve = steady_state._solve_batch
     solved = []
 
-    def solve_and_count(params, space):
-        deltas = [p.delta for p in params]
+    def solve_and_count(batch, space):
+        deltas = batch[:, 0].tolist()  # column 0 is delta
         solved.extend(deltas)
         if error is KeyboardInterrupt and 9.0 in deltas:
             signal.pthread_kill(main_thread, signal.SIGINT)
-        return solve(params, space)
+        return solve(batch, space)
 
     monkeypatch.setattr(steady_state, "_solve_batch", solve_and_count)
     monkeypatch.setattr(steady_state, "_BATCH_BYTES",
                         2 * 16 * steady_state._band_system(HilbertSpace(4)).size)
-    with pytest.raises(error, match="g, E, U must be nonnegative" if error is ValueError else None):
-        steady_state_grid(4, delta=np.arange(400.0), g=g, E=0.1)
-    assert len(solved) < 40
+    with pytest.raises(error, match=message):
+        steady_state_grid(4, **{"delta": np.arange(400.0), "E": 0.1, **fields})
+    if error is ValueError:
+        assert solved == []
+    else:
+        assert 0 < len(solved) < 40
 
 
 def test_grid_with_an_empty_axis_is_empty():
