@@ -292,7 +292,8 @@ def ucpb_roots(params: ModelParams, free: str,
     appended as a CPB root when it falls inside the interval, so the result covers
     both blockade flavors.  Failures are decided first, for the whole interval:
     non-finite N or D, or D = 0, raise failure 5, and a real zero of a denominator
-    factor raises that factor's failure, the lowest zero first.
+    factor raises that factor's failure, the lowest zero first.  An ``interval``
+    that is empty, or whose ends or width are not finite, raises ValueError.
     """
     from numpy.polynomial import Polynomial
 
@@ -301,6 +302,10 @@ def ucpb_roots(params: ModelParams, free: str,
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"empty search interval [{lo}, {hi}]")
+    # finite only when both ends are, and their distance fits in float64
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"search interval [{lo}, {hi}] needs finite ends a finite "
+                         "distance apart")
 
     t = Polynomial([lo / 2 + hi / 2, hi / 2 - lo / 2])  # the free detuning, t on [-1, 1]
     x = {"delta": Polynomial([params.delta]), "delta_a": Polynomial([params.delta_a]), free: t}

@@ -8,6 +8,7 @@ follow the grid order, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -18,12 +19,11 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import BlockadeError, CutoffConvergenceError
-from .model import MAX_CUTOFF, ModelParams
+from .model import MAX_CUTOFF, ModelParams, _check_fields
 
 __all__ = ["main", "run"]
 
 AXIS_FIELDS = ("delta", "delta_a", "g", "E", "U")
-_NONNEG_FIELDS = ("g", "E", "U")
 # engine -> what it runs, in column order
 _ENGINES = {"numeric": "steady-state solve", "analytic": "weak-drive evaluation"}
 # points in one grid, and optimum's axis steps: an analytic 1000x1000 sweep2d
@@ -81,8 +81,6 @@ def _parse_axis(text: str) -> tuple[str, float, float, int]:
                           f"apart, got {start} .. {stop}")
     if not start < stop:
         raise _UsageError(f"axis {name!r} needs start < stop, got {start} .. {stop}")
-    if name in _NONNEG_FIELDS and start < 0:
-        raise _UsageError(f"axis over {name!r} must stay nonnegative")
     return name, start, stop, steps
 
 
@@ -269,64 +267,58 @@ def _write_gnuplot(path: str, csv_path: str, header: list[str], two_d: bool) -> 
     return _emit(lines, path)
 
 
-def _params_from_args(args) -> ModelParams:
+def _fields(args, **coords) -> dict:
+    """The seven fields of :class:`ModelParams` from the flags, an axis's coordinates
+    in place of its flag, checked by the model's rule: a refused field is a usage
+    error."""
+    fields = {f.name: coords.get(f.name, getattr(args, f.name))
+              for f in dataclasses.fields(ModelParams)}
     try:
-        return ModelParams(delta=args.delta, delta_a=args.delta_a, g=args.g,
-                           E=args.E, U=args.U, kappa=args.kappa, gamma=args.gamma)
+        _check_fields(**fields)
     except ValueError as exc:
         raise _UsageError(str(exc))
-
-
-def _status(exc: BlockadeError) -> int:
-    """A failed cell's index into _STATUS, by the class of its error."""
-    return 1 if isinstance(exc, CutoffConvergenceError) else 2
+    return fields
 
 
 def _numeric(args, fields: dict) -> tuple:
-    """Steady-state engine: the grid of ``steady_state_grid`` and its status."""
+    """Steady-state engine: the SteadyStateGrid of ``steady_state_grid``."""
     from .steady_state import steady_state_grid
 
-    grid = steady_state_grid(args.cutoff, args.converge_tol, **fields)
-    status = np.zeros(grid.failure.shape, dtype=np.intp)
-    failed = grid.failure != None  # noqa: E711 (elementwise)
-    # one class test per failed cell: most cost a solve, far more than the test,
-    # but degenerate and overflowing cells are refused before any solve
-    status[failed] = [_status(exc) for exc in grid.failure[failed].tolist()]
-    return (*grid, status)
+    return steady_state_grid(args.cutoff, args.converge_tol, **fields)
 
 
 def _analytic(args, fields: dict) -> tuple:
-    """Weak-drive engine, one array evaluation for the whole grid; it has no
-    cutoff or residual of its own, so every cell reads ``--cutoff`` and nan."""
+    """Weak-drive engine, one array evaluation for the whole grid, as the five
+    fields of a SteadyStateGrid; it has no cutoff or residual of its own, so
+    every cell reads ``--cutoff`` and nan."""
     from .analytic import failure_error, weak_drive_grid
 
     grid = weak_drive_grid(**fields)
     n_a = grid.n_a
     code = np.where(grid.n_a_failure != 0, grid.n_a_failure, grid.g2_failure)
     failure = np.full(code.shape, None, dtype=object)
-    status = np.zeros(code.shape, dtype=np.intp)
     # one exception per failing code; np.unique without return_inverse would import
     # numpy.ma (~30 ms) in NumPy 2
     for c in range(1, int(code.max()) + 1):
         cells = code == c
         if cells.any():
-            exc = failure_error(c)
-            failure[cells], n_a[cells], status[cells] = exc, math.nan, _status(exc)
-    return grid.g2, n_a, args.cutoff, math.nan, failure, status
+            failure[cells], n_a[cells] = failure_error(c), math.nan
+    return grid.g2, n_a, args.cutoff, math.nan, failure
 
 
 def cmd_grid(args) -> int:
     """point, sweep, sweep2d, compare: one CSV row per grid point.
 
     Every column gets the fixed fields as numbers and the axes as broadcast
-    dimensions, ``--axis`` (n1,) and the slow ``--axis2`` (n2, 1).  It returns
-    arrays in the grid's shape (g2, n_a, cutoff_used, residual), an object
-    array of per-point failures (None or the BlockadeError) and each point's
-    index into _STATUS.  A failing point holds nan cells, and the first failing
-    column in output order sets its status; ``point`` (shape ()) exits 3 on it
-    instead.  ``_csv_rows`` formats the rows column by column, in C order.
+    dimensions, ``--axis`` (n1,) and the slow ``--axis2`` (n2, 1).  Each engine
+    returns the five fields of a SteadyStateGrid in the grid's shape: g2, n_a,
+    cutoff_used, residual (arrays or numbers), and an object array of per-point
+    failures (None or the BlockadeError), where a failing point holds nan cells.
+    One pass over the columns in output order gives each point the class of its
+    first failing column as its index into _STATUS; ``point`` (shape ()) prints
+    that column's error and exits 3 instead.  ``_csv_rows`` formats the rows
+    column by column, in C order.
     """
-    base = _params_from_args(args)
     if args.command == "compare":
         # the U = 0 (J-C) and g = 0 (bimode) limits override one field each
         columns = [("composite", "numeric", {}), ("jc", "numeric", {"U": 0.0}),
@@ -341,6 +333,10 @@ def cmd_grid(args) -> int:
     if len(set(names)) < len(names):
         raise _UsageError(f"axis and axis2 must differ, both are {names[0]!r}")
     _check_grid_size(axes)
+    # axis k varies along dimension -1 - k: the last axis is the slow (outer) index
+    coords = [np.linspace(start, stop, steps).reshape((steps,) + (1,) * k)
+              for k, (_, start, stop, steps) in enumerate(axes)]
+    fields = _fields(args, **dict(zip(names, coords)))
     labels = [label for label, *_ in columns]
     header = (names + [f"g2_{x}" for x in labels] + [f"n_a_{x}" for x in labels]
               + info + ["status"])
@@ -349,20 +345,18 @@ def cmd_grid(args) -> int:
         raise _UsageError("--gnuplot requires --out so the script has data to point at")
     if gnuplot is not None and os.path.realpath(gnuplot) == os.path.realpath(args.out):
         raise _UsageError("--gnuplot and --out name the same file")
-    # axis k varies along dimension -1 - k: the last axis is the slow (outer) index
-    coords = [np.linspace(start, stop, steps).reshape((steps,) + (1,) * k)
-              for k, (_, start, stop, steps) in enumerate(axes)]
-    fields = {**vars(base), **dict(zip(names, coords))}
     outs = [(_numeric if engine == "numeric" else _analytic)(args, {**fields, **override})
             for _, engine, override in columns]
-    if not axes:
-        for label, (*_, failure, _) in zip(labels, outs):
-            if failure.item() is not None:
-                print(f"error: {_ENGINES[label]} failed: {failure.item()}", file=sys.stderr)
-                return 3
-    status = np.zeros(outs[0][-1].shape, dtype=np.intp)  # the first failure wins
-    for *_, column_status in reversed(outs):
-        np.copyto(status, column_status, where=column_status != 0)
+    status = np.zeros(outs[0][4].shape, dtype=np.intp)
+    for (_, engine, _), (*_, failure) in zip(columns, outs):
+        failed = (failure != None) & (status == 0)  # noqa: E711 (elementwise)
+        if not axes and failed:
+            print(f"error: {_ENGINES[engine]} failed: {failure.item()}", file=sys.stderr)
+            return 3
+        # one class test per newly failed cell: a numeric one cost a solve, far
+        # more than the test, unless it was refused before any
+        status[failed] = [1 if isinstance(exc, CutoffConvergenceError) else 2
+                          for exc in failure[failed].tolist()]
     columns = [(c, "%.8e") for c in coords + [o[0] for o in outs] + [o[1] for o in outs]]
     if info:
         columns += [(outs[0][2], "%d"), (outs[0][3], "%.8e")]  # from the first engine
@@ -375,7 +369,7 @@ def cmd_grid(args) -> int:
 def cmd_optimum(args) -> int:
     from .analytic import ucpb_roots
 
-    params = _params_from_args(args)
+    params = ModelParams(**_fields(args))
     name, start, stop, _ = axis = _parse_axis(args.axis)
     if name not in ("delta", "delta_a"):
         raise _UsageError("optimum searches a detuning: axis must be delta or delta_a")
@@ -400,8 +394,7 @@ def cmd_convergence(args) -> int:
 
     history = []
     tol = 1e-6 if args.converge_tol is None else args.converge_tol
-    failed = steady_state_grid(args.cutoff, tol, history,
-                               **vars(_params_from_args(args))).failure.item()
+    failed = steady_state_grid(args.cutoff, tol, history, **_fields(args)).failure.item()
     lines = ["cutoff,g2_numeric,n_a_numeric,residual"]
     for rung in history:
         if rung.failure[0] is None:

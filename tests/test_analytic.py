@@ -320,6 +320,10 @@ def test_roots_input_validation():
         ucpb_roots(p, "g", (0.0, 60.0))
     with pytest.raises(ValueError):
         ucpb_roots(p, "delta_a", (10.0, 10.0))
+    # an infinite end, or finite ends whose distance overflows float64
+    for interval in ((-60.0, math.inf), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="finite ends"):
+            ucpb_roots(p, "delta_a", interval)
 
 
 def test_mean_photon_lorentzian():

@@ -73,6 +73,11 @@ def test_point_solver_failure_exits_3(capsys):
     code, _, err = run(capsys, ["point", "--kappa", "0", "--gamma", "0", "--delta", "1"])
     assert code == 3
     assert "steady-state solve failed" in err
+    # gamma = delta = 0 fails the second column only: its error is the one printed
+    code, out, err = run(capsys, ["point", "--gamma", "0", "--delta", "0", "--g", "20",
+                                  "--E", "0.1", "--cutoff", "4"])
+    assert (code, out) == (3, "")
+    assert err == "error: weak-drive evaluation failed: vanishing dot denominator delta'\n"
 
 
 def test_decoupled_lossless_cavity_is_degenerate(capsys):
@@ -116,6 +121,11 @@ def test_decoupled_lossless_cavity_is_degenerate(capsys):
     ["sweep", "--axis", "delta:0:1:10000000000000", "--engines", "analytic"],
     ["optimum", "--axis", "delta:0:1:10000000000000"],
     ["sweep2d", "--axis", "delta:0:1:1001", "--axis2", "delta_a:0:1:1000", "--engines", "numeric"],
+    # one invalid field per command, refused by the model's one field check
+    ["sweep", "--axis", "g:-1:1:3", "--engines", "analytic"],
+    ["compare", "--axis", "U:-1:0:3"],
+    ["optimum", "--axis", "delta:0:1:3", "--kappa", "-1"],
+    ["convergence", "--E", "inf"],
 ])
 def test_usage_errors_exit_1(capsys, monkeypatch, argv):
     # refused before any solve: a nan tolerance would otherwise climb to cutoff 40
@@ -190,8 +200,9 @@ DOT_FREE_CUT = ["sweep", "--axis", "delta:-1:1:3", "--gamma", "0", "--E", "0.1"]
      {"no_converge", "singular"}),
 ])
 def test_status_matches_rowwise_class_test(capsys, monkeypatch, argv, statuses):
-    # the engines carry each cell's status out; the row-wise oracle tests the
-    # class of the first failure in column order, cell by cell
+    # the engines return each cell's failure and cmd_grid's one pass over the
+    # columns sets the status; the row-wise oracle tests the class of the first
+    # failure in column order, cell by cell
     monkeypatch.setattr(steady_state, "MAX_CUTOFF", 8)
     failures = []
     for name in ("_numeric", "_analytic"):
