@@ -349,6 +349,8 @@ def cmd_grid(args) -> int:
             for _, engine, override in columns]
     status = np.zeros(outs[0][4].shape, dtype=np.intp)
     for (_, engine, _), (*_, failure) in zip(columns, outs):
+        # a compare column whose override is the axis field holds one cell
+        failure = np.broadcast_to(failure, status.shape)
         failed = (failure != None) & (status == 0)  # noqa: E711 (elementwise)
         if not axes and failed:
             print(f"error: {_ENGINES[engine]} failed: {failure.item()}", file=sys.stderr)

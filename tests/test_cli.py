@@ -241,6 +241,8 @@ def test_unsettled_ladder_reads_no_converge(capsys, monkeypatch):
     (["sweep2d", "--axis", "delta:0:1:3", "--axis2", "g:0:1:2"], {"delta": (3,), "g": (2, 1)}),
     (["sweep", "--axis", "E:0:1:4"], {"E": (4,)}),
     (["compare", "--axis", "delta_a:0:1:3"], {"delta_a": (3,)}),
+    (["compare", "--axis", "U:0:0.001:3"], {"U": (3,)}),
+    (["compare", "--axis", "g:0:20:3"], {"g": (3,)}),
     (["point"], {}),
 ])
 def test_engines_receive_broadcast_axes(capsys, monkeypatch, argv, axes):
@@ -256,7 +258,11 @@ def test_engines_receive_broadcast_axes(capsys, monkeypatch, argv, axes):
     assert len(parse_csv(out)[1]) == math.prod(n for shape in axes.values() for n in shape)
     want = {field: axes.get(field, ()) for field in ("delta", "delta_a", "g", "E", "U",
                                                      "kappa", "gamma")}
-    assert shapes == [want] * (3 if argv[0] == "compare" else 2)
+    if argv[0] == "compare":
+        # the jc column overrides U and the bimode column g with a number
+        assert shapes == [want, {**want, "U": ()}, {**want, "g": ()}]
+    else:
+        assert shapes == [want] * 2
 
 
 def test_dark_analytic_sweep_builds_one_error_per_failure_code(capsys, monkeypatch):
